@@ -41,6 +41,82 @@ void BM_GemmNT(benchmark::State& state) {
 }
 BENCHMARK(BM_GemmNT)->Arg(64)->Arg(128);
 
+void BM_GemmTN(benchmark::State& state) {
+  const auto n = static_cast<std::int64_t>(state.range(0));
+  Rng rng(1);
+  Tensor a = Tensor::randn({n, n}, rng);
+  Tensor b = Tensor::randn({n, n}, rng);
+  Tensor c({n, n});
+  for (auto _ : state) {
+    kernels::gemm_tn(a.data(), b.data(), c.data(), n, n, n, false);
+    benchmark::DoNotOptimize(c.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
+}
+BENCHMARK(BM_GemmTN)->Arg(64)->Arg(128);
+
+// One linear layer of the pretrain workload (8 sequences x 32 tokens) with
+// weight W [in, out], as training runs it: the forward y = x W (gemm_nn),
+// and the backward dX = dY W^T (gemm_nt) and dW += X^T dY (gemm_tn). Args
+// are {in, out}. Timed in process CPU time, pool workers included, so
+// items/s reads as FLOP per CPU-second.
+constexpr std::int64_t kTrainTokens = 256;
+
+enum class TrainGemm { kForward, kGradInput, kGradWeight };
+
+void train_gemm(benchmark::State& state, TrainGemm which) {
+  const auto in = static_cast<std::int64_t>(state.range(0));
+  const auto out = static_cast<std::int64_t>(state.range(1));
+  Rng rng(1);
+  Tensor x = Tensor::randn({kTrainTokens, in}, rng);
+  Tensor w = Tensor::randn({in, out}, rng);
+  Tensor dy = Tensor::randn({kTrainTokens, out}, rng);
+  Tensor y({kTrainTokens, out});
+  Tensor dx({kTrainTokens, in});
+  Tensor dw({in, out});
+  for (auto _ : state) {
+    switch (which) {
+      case TrainGemm::kForward:
+        kernels::gemm_nn(x.data(), w.data(), y.data(), kTrainTokens, out, in,
+                         false);
+        benchmark::DoNotOptimize(y.data());
+        break;
+      case TrainGemm::kGradInput:
+        kernels::gemm_nt(dy.data(), w.data(), dx.data(), kTrainTokens, in, out,
+                         false);
+        benchmark::DoNotOptimize(dx.data());
+        break;
+      case TrainGemm::kGradWeight:
+        kernels::gemm_tn(x.data(), dy.data(), dw.data(), in, out, kTrainTokens,
+                         false);
+        benchmark::DoNotOptimize(dw.data());
+        break;
+    }
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * kTrainTokens * in * out);
+}
+
+void BM_GemmNNTrain(benchmark::State& state) {
+  train_gemm(state, TrainGemm::kForward);
+}
+void BM_GemmNTTrain(benchmark::State& state) {
+  train_gemm(state, TrainGemm::kGradInput);
+}
+void BM_GemmTNTrain(benchmark::State& state) {
+  train_gemm(state, TrainGemm::kGradWeight);
+}
+
+// Pretrain's {in, out} linear shapes: attention projections, MLP up and
+// down, and the LM head.
+void pretrain_linear_shapes(benchmark::internal::Benchmark* b) {
+  b->Args({64, 64})->Args({64, 192})->Args({192, 64})->Args({64, 512});
+  b->MeasureProcessCPUTime();
+}
+BENCHMARK(BM_GemmNNTrain)->Apply(pretrain_linear_shapes);
+BENCHMARK(BM_GemmNTTrain)->Apply(pretrain_linear_shapes);
+BENCHMARK(BM_GemmTNTrain)->Apply(pretrain_linear_shapes);
+
 void attention_forward(benchmark::State& state, bool flash) {
   const auto t = static_cast<std::int64_t>(state.range(0));
   Rng rng(2);

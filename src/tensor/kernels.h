@@ -2,8 +2,8 @@
 // Raw float kernels beneath the autograd layer.
 //
 // All matmuls are row-major. Loop orders are chosen so the innermost loop
-// streams contiguously (i-k-j for NN, l-i-j for TN, dot-rows for NT), which
-// is the same cache-blocking reasoning the paper applies at the MI250X
+// streams contiguously (i-k-j for NN and TN, dot-rows for the scalar NT),
+// which is the same cache-blocking reasoning the paper applies at the MI250X
 // matrix-core level. Row-parallelism goes through ThreadPool::global() and
 // degrades to serial on one core.
 //
@@ -23,6 +23,12 @@
 // choice NEVER changes output bytes. That is the property the serving
 // engine's batched-vs-batch-1 (and tuned-vs-untuned) token identity rests
 // on.
+//
+// gemm_nt / gemm_tn (the backward GEMMs, dX = dY * W^T and dW = X^T * dY)
+// run the same streaming kernel, gemm_nt after packing B^T once per call.
+// Their SIMD paths replay their scalar loops' exact operation sequence (see
+// the contracts below), so training losses and gradients do not depend on
+// which path ran.
 //
 // gemm_nn_bf16 / gemm_nn_int8 are the weight-quantized decode GEMMs: B is
 // stored as bf16 bit patterns or int8 with per-output-column scales, every
@@ -85,10 +91,25 @@ void gemm_nn_int8(const float* a, const std::int8_t* b, const float* scale,
                   const GemmVariant& variant);
 
 /// C[m,n] (+)= A[m,k] * B[n,k]^T
+///
+/// Numeric contract, identical on the SIMD and scalar paths: each element
+/// sums its k terms into a private accumulator that starts at +0.0, in
+/// ascending k, each term a rounded multiply followed by a rounded add (no
+/// FMA: baseline x86-64 has none, so the scalar loop never fuses); then
+/// C = accumulate ? C + acc : acc. An element is computed by one thread, so
+/// results do not depend on the thread count or on m.
 void gemm_nt(const float* a, const float* b, float* c, std::int64_t m,
              std::int64_t n, std::int64_t k, bool accumulate);
 
 /// C[m,n] (+)= A[k,m]^T * B[k,n]
+///
+/// Numeric contract, identical on the SIMD and scalar paths: C (zeroed
+/// first unless accumulating) takes each term in ascending k as a rounded
+/// multiply followed by a rounded add (no FMA), skipping every term whose
+/// A value compares equal to zero. The skip decides the sign of a zero
+/// result and keeps inf/NaN in B from reaching C through a zero in A. An
+/// element is computed by one thread, so results do not depend on the
+/// thread count or on m.
 void gemm_tn(const float* a, const float* b, float* c, std::int64_t m,
              std::int64_t n, std::int64_t k, bool accumulate);
 

@@ -23,6 +23,26 @@ bool any_requires_grad(std::initializer_list<const Var*> vars) {
   return false;
 }
 
+/// Records the backward of C[m,n] = A[m,k] * B[k,n] (matmul and
+/// linear_matmul): dA += dC * B^T and dB += A^T * dC.
+void record_matmul_backward(Tape& tape, const Var& a, const Var& b,
+                            const Var& result, std::int64_t m, std::int64_t n,
+                            std::int64_t k) {
+  tape.record([an = a.node(), bn = b.node(), rn = result.node(), m, n, k] {
+    const float* g = rn->grad.data();
+    if (an->requires_grad) {
+      Tensor& ag = an->ensure_grad();
+      kernels::gemm_nt(g, bn->value.data(), ag.data(), m, k, n,
+                       /*accumulate=*/true);
+    }
+    if (bn->requires_grad) {
+      Tensor& bg = bn->ensure_grad();
+      kernels::gemm_tn(an->value.data(), g, bg.data(), k, n, m,
+                       /*accumulate=*/true);
+    }
+  });
+}
+
 }  // namespace
 
 Var add(Tape& tape, const Var& a, const Var& b) {
@@ -131,21 +151,7 @@ Var matmul(Tape& tape, const Var& a, const Var& b) {
                    /*accumulate=*/false);
   Var result = tape.intermediate(std::move(out), any_requires_grad({&a, &b}));
   if (result.requires_grad()) {
-    tape.record([an = a.node(), bn = b.node(), rn = result.node(), m, n, k] {
-      const float* g = rn->grad.data();
-      if (an->requires_grad) {
-        Tensor& ag = an->ensure_grad();
-        // dA = g * B^T : [m,n] x [k,n]^T
-        kernels::gemm_nt(g, bn->value.data(), ag.data(), m, k, n,
-                         /*accumulate=*/true);
-      }
-      if (bn->requires_grad) {
-        Tensor& bg = bn->ensure_grad();
-        // dB = A^T * g : [m,k]^T x [m,n]
-        kernels::gemm_tn(an->value.data(), g, bg.data(), k, n, m,
-                         /*accumulate=*/true);
-      }
-    });
+    record_matmul_backward(tape, a, b, result, m, n, k);
   }
   return result;
 }
@@ -174,19 +180,7 @@ Var linear_matmul(Tape& tape, const Var& a, const Var& w,
                                         /*accumulate=*/false);
   Var result = tape.intermediate(std::move(out), needs_grad);
   if (result.requires_grad()) {
-    tape.record([an = a.node(), bn = w.node(), rn = result.node(), m, n, k] {
-      const float* g = rn->grad.data();
-      if (an->requires_grad) {
-        Tensor& ag = an->ensure_grad();
-        kernels::gemm_nt(g, bn->value.data(), ag.data(), m, k, n,
-                         /*accumulate=*/true);
-      }
-      if (bn->requires_grad) {
-        Tensor& bg = bn->ensure_grad();
-        kernels::gemm_tn(an->value.data(), g, bg.data(), k, n, m,
-                         /*accumulate=*/true);
-      }
-    });
+    record_matmul_backward(tape, a, w, result, m, n, k);
   }
   return result;
 }

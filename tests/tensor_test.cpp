@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <utility>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -246,6 +250,181 @@ TEST(Gemm, AccumulateAddsOntoExisting) {
   EXPECT_FLOAT_EQ(c[0], 111.0f);
   kernels::gemm_nn(a.data(), b.data(), c.data(), 1, 1, 2, false);
   EXPECT_FLOAT_EQ(c[0], 11.0f);
+}
+
+// ---- Backward GEMMs: byte identity with the scalar loops --------------------
+//
+// gemm_nt/gemm_tn must produce exactly the bytes of these loops (the
+// kernels' portable path, copied) on every build, SIMD or not: the training
+// losses and gradients rest on it.
+
+void scalar_gemm_nt(const float* a, const float* b, float* c, std::int64_t m,
+                    std::int64_t n, std::int64_t k, bool accumulate) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    const float* arow = a + i * k;
+    float* crow = c + i * n;
+    for (std::int64_t j = 0; j < n; ++j) {
+      const float* brow = b + j * k;
+      float acc = 0.0f;
+      for (std::int64_t l = 0; l < k; ++l) acc += arow[l] * brow[l];
+      crow[j] = accumulate ? crow[j] + acc : acc;
+    }
+  }
+}
+
+void scalar_gemm_tn(const float* a, const float* b, float* c, std::int64_t m,
+                    std::int64_t n, std::int64_t k, bool accumulate) {
+  for (std::int64_t i = 0; i < m; ++i) {
+    float* crow = c + i * n;
+    if (!accumulate) std::fill(crow, crow + n, 0.0f);
+    for (std::int64_t l = 0; l < k; ++l) {
+      const float av = a[l * m + i];
+      if (av == 0.0f) continue;
+      const float* brow = b + l * n;
+      for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+    }
+  }
+}
+
+// Normal values with about one in eight replaced by +0.0 or -0.0.
+std::vector<float> randn_with_zeros(std::size_t count, Rng& rng) {
+  std::vector<float> v(count);
+  for (float& x : v) {
+    const std::uint64_t pick = rng.uniform_int(std::uint64_t{16});
+    x = pick == 0 ? 0.0f : pick == 1 ? -0.0f : static_cast<float>(rng.normal());
+  }
+  return v;
+}
+
+bool same_bytes(const std::vector<float>& x, const std::vector<float>& y) {
+  return x.size() == y.size() &&
+         std::memcmp(x.data(), y.data(), sizeof(float) * x.size()) == 0;
+}
+
+class BackwardGemmShapes
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+// Shapes: k = 1, n < 8, n % 8 != 0, n across several 512-column chunks,
+// and m on both sides of the 64-row threshold (serial and pool paths).
+TEST_P(BackwardGemmShapes, NtAndTnMatchScalarLoopsBytewise) {
+  const auto [m, n, k] = GetParam();
+  Rng rng(static_cast<std::uint64_t>(m * 7919 + n * 131 + k));
+  const auto mn = static_cast<std::size_t>(m) * static_cast<std::size_t>(n);
+  const auto mk = static_cast<std::size_t>(m) * static_cast<std::size_t>(k);
+  const auto nk = static_cast<std::size_t>(n) * static_cast<std::size_t>(k);
+  const std::vector<float> a = randn_with_zeros(mk, rng);  // nt [m,k], tn [k,m]
+  const std::vector<float> b = randn_with_zeros(nk, rng);  // nt [n,k], tn [k,n]
+  const std::vector<float> c0 = randn_with_zeros(mn, rng);
+  for (const bool accumulate : {false, true}) {
+    std::vector<float> want = c0;
+    std::vector<float> got = c0;
+    scalar_gemm_nt(a.data(), b.data(), want.data(), m, n, k, accumulate);
+    kernels::gemm_nt(a.data(), b.data(), got.data(), m, n, k, accumulate);
+    EXPECT_TRUE(same_bytes(got, want)) << "gemm_nt accumulate=" << accumulate;
+
+    want = c0;
+    got = c0;
+    scalar_gemm_tn(a.data(), b.data(), want.data(), m, n, k, accumulate);
+    kernels::gemm_tn(a.data(), b.data(), got.data(), m, n, k, accumulate);
+    EXPECT_TRUE(same_bytes(got, want)) << "gemm_tn accumulate=" << accumulate;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, BackwardGemmShapes,
+    ::testing::Values(std::make_tuple(1, 1, 1), std::make_tuple(3, 5, 1),
+                      std::make_tuple(7, 3, 9), std::make_tuple(17, 13, 6),
+                      std::make_tuple(63, 24, 33), std::make_tuple(64, 8, 4),
+                      std::make_tuple(70, 1, 5), std::make_tuple(130, 37, 70),
+                      std::make_tuple(96, 1100, 19),
+                      std::make_tuple(256, 64, 192)));
+
+// A zero in A opposite an inf in B: gemm_tn skips the term (no NaN, and a
+// -0.0 C entry keeps its sign); gemm_nt has no skip, so 0 * inf = NaN
+// reaches C. Either way the kernels must match the loops byte for byte.
+TEST(BackwardGemm, ZeroOppositeInfMatchesScalarLoops) {
+  const std::int64_t m = 70, n = 21, k = 12;
+  Rng rng(99);
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> a = randn_with_zeros(static_cast<std::size_t>(m * k), rng);
+  std::vector<float> b = randn_with_zeros(static_cast<std::size_t>(n * k), rng);
+  for (std::int64_t l = 0; l < k; l += 3) {
+    for (std::int64_t i = 0; i < m; ++i) {
+      a[static_cast<std::size_t>(l * m + i)] = (i % 2 == 0) ? 0.0f : -0.0f;
+    }
+    for (std::int64_t j = 0; j < n; j += 4) {
+      b[static_cast<std::size_t>(l * n + j)] = (j % 8 == 0) ? inf : -inf;
+    }
+  }
+  for (std::int64_t l = 0; l < k; ++l) a[static_cast<std::size_t>(l * m + 5)] = -0.0f;
+  const std::vector<float> c0(static_cast<std::size_t>(m * n), -0.0f);
+  for (const bool accumulate : {false, true}) {
+    std::vector<float> want = c0;
+    std::vector<float> got = c0;
+    scalar_gemm_tn(a.data(), b.data(), want.data(), m, n, k, accumulate);
+    kernels::gemm_tn(a.data(), b.data(), got.data(), m, n, k, accumulate);
+    EXPECT_TRUE(same_bytes(got, want)) << "gemm_tn accumulate=" << accumulate;
+    // Row 5 of dW saw only zeros in A: every term was skipped.
+    for (std::int64_t j = 0; j < n; ++j) {
+      const float v = got[static_cast<std::size_t>(5 * n + j)];
+      EXPECT_EQ(v, 0.0f);
+      EXPECT_EQ(std::signbit(v), accumulate);
+    }
+
+    // gemm_nt reads the same buffers as A [m,k] and B [n,k].
+    want = c0;
+    got = c0;
+    scalar_gemm_nt(a.data(), b.data(), want.data(), m, n, k, accumulate);
+    kernels::gemm_nt(a.data(), b.data(), got.data(), m, n, k, accumulate);
+    EXPECT_TRUE(same_bytes(got, want)) << "gemm_nt accumulate=" << accumulate;
+  }
+}
+
+// A row's bytes depend only on its own A row (column, for gemm_tn) and B:
+// not on m, not on the pool chunk or row block it lands in.
+TEST(BackwardGemm, RowsIndependentOfMAndChunking) {
+  const std::int64_t m = 150, n = 45, k = 37;
+  Rng rng(7);
+  const std::vector<float> a = randn_with_zeros(static_cast<std::size_t>(m * k), rng);
+  const std::vector<float> b = randn_with_zeros(static_cast<std::size_t>(n * k), rng);
+  const std::vector<float> c0 = randn_with_zeros(static_cast<std::size_t>(m * n), rng);
+  std::vector<float> full_nt = c0;
+  kernels::gemm_nt(a.data(), b.data(), full_nt.data(), m, n, k, true);
+  std::vector<float> full_tn = c0;
+  kernels::gemm_tn(a.data(), b.data(), full_tn.data(), m, n, k, true);
+
+  // Row ranges of several sizes and offsets, each as its own call.
+  const std::pair<std::int64_t, std::int64_t> ranges[] = {
+      {0, 1}, {5, 77}, {77, 150}, {3, 70}, {149, 150}};
+  for (const auto& [lo, hi] : ranges) {
+    const std::int64_t rows = hi - lo;
+    const auto off = static_cast<std::size_t>(lo * n);
+    const auto len = static_cast<std::size_t>(rows * n);
+    const auto full_part = [&](const std::vector<float>& full) {
+      return std::vector<float>(full.begin() + static_cast<std::ptrdiff_t>(off),
+                                full.begin() + static_cast<std::ptrdiff_t>(off + len));
+    };
+
+    std::vector<float> part(c0.begin() + static_cast<std::ptrdiff_t>(off),
+                            c0.begin() + static_cast<std::ptrdiff_t>(off + len));
+    kernels::gemm_nt(a.data() + lo * k, b.data(), part.data(), rows, n, k, true);
+    EXPECT_TRUE(same_bytes(part, full_part(full_nt)))
+        << "gemm_nt rows [" << lo << ", " << hi << ")";
+
+    // gemm_tn's rows are columns of A [k, m]: gather them into [k, rows].
+    std::vector<float> a_cols(static_cast<std::size_t>(k * rows));
+    for (std::int64_t l = 0; l < k; ++l) {
+      for (std::int64_t i = 0; i < rows; ++i) {
+        a_cols[static_cast<std::size_t>(l * rows + i)] =
+            a[static_cast<std::size_t>(l * m + lo + i)];
+      }
+    }
+    part.assign(c0.begin() + static_cast<std::ptrdiff_t>(off),
+                c0.begin() + static_cast<std::ptrdiff_t>(off + len));
+    kernels::gemm_tn(a_cols.data(), b.data(), part.data(), rows, n, k, true);
+    EXPECT_TRUE(same_bytes(part, full_part(full_tn)))
+        << "gemm_tn rows [" << lo << ", " << hi << ")";
+  }
 }
 
 TEST(Kernels, SoftmaxRowNormalizesAndIsStable) {
