@@ -4,8 +4,10 @@
 // the paper's kernel-level analysis (Fig. 10).
 
 #include <benchmark/benchmark.h>
+#include <time.h>
 
 #include "common/rng.h"
+#include "parallel/thread_pool.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
 
@@ -110,12 +112,57 @@ void BM_GemmTNTrain(benchmark::State& state) {
 // Pretrain's {in, out} linear shapes: attention projections, MLP up and
 // down, and the LM head.
 void pretrain_linear_shapes(benchmark::internal::Benchmark* b) {
-  b->Args({64, 64})->Args({64, 192})->Args({192, 64})->Args({64, 512});
+  b->Args({64, 64})->Args({64, 176})->Args({176, 64})->Args({64, 512});
   b->MeasureProcessCPUTime();
 }
 BENCHMARK(BM_GemmNNTrain)->Apply(pretrain_linear_shapes);
 BENCHMARK(BM_GemmNTTrain)->Apply(pretrain_linear_shapes);
 BENCHMARK(BM_GemmTNTrain)->Apply(pretrain_linear_shapes);
+
+double process_cpu_s() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + 1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+// A dependent multiply-add chain of `steps` links: fixed CPU work that
+// neither vectorizes nor touches memory.
+float mac_chain(std::int64_t steps, float x) {
+  for (std::int64_t i = 0; i < steps; ++i) x = x * 0.999999f + 1e-6f;
+  return x;
+}
+
+// The fork-join's own cost: one ThreadPool::global().parallel_for over
+// range(0) chunks whose body runs a range(1)-step mac_chain per chunk (0 =
+// an empty body), in process CPU time, helpers included. The counter
+// dispatch_cpu_us is CPU per call minus the chunks' own serial CPU: with
+// an empty body the caller claims every chunk before a helper is up, and
+// with a real body each helper also sleeps and wakes once per call.
+// kernels::kMinChunkMacs is sized against the second number.
+void BM_ParallelForDispatch(benchmark::State& state) {
+  const auto chunks = static_cast<std::size_t>(state.range(0));
+  const std::int64_t steps = state.range(1);
+  auto& pool = ThreadPool::global();
+  const float seed = static_cast<float>(chunks) * 1e-3f;
+  const auto body = [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t c = lo; c < hi; ++c) {
+      benchmark::DoNotOptimize(mac_chain(steps, seed));
+    }
+  };
+  constexpr int kSerialReps = 64;
+  const double serial0 = process_cpu_s();
+  for (int r = 0; r < kSerialReps; ++r) body(0, 1);
+  const double chunk_cpu = (process_cpu_s() - serial0) / kSerialReps;
+  const double cpu0 = process_cpu_s();
+  for (auto _ : state) pool.parallel_for(0, chunks, body, chunks);
+  const double per_call = (process_cpu_s() - cpu0) /
+                          static_cast<double>(state.iterations());
+  state.counters["dispatch_cpu_us"] =
+      1e6 * (per_call - static_cast<double>(chunks) * chunk_cpu);
+}
+BENCHMARK(BM_ParallelForDispatch)
+    ->ArgsProduct({{1, 2, 3, 4}, {0, 30000}})
+    ->MeasureProcessCPUTime();
 
 void attention_forward(benchmark::State& state, bool flash) {
   const auto t = static_cast<std::int64_t>(state.range(0));

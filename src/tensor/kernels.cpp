@@ -16,16 +16,26 @@
 namespace matgpt::kernels {
 
 namespace {
-// Rows-of-C below which threading overhead outweighs the win.
-constexpr std::int64_t kParallelRowThreshold = 64;
+// Runs body over the m rows of C, `row_macs` multiply-adds per row, in
+// chunks of at least kMinChunkMacs whose bounds fall on multiples of the
+// microkernel's `mr`. A GEMM too small for two chunks runs on the caller,
+// and so does one of fewer than kMinParallelRows rows: pooling serving's
+// short prefills and few-row LM-head products cost more CPU and added
+// TTFT/TPOT on a shared 4-vCPU host, where their wall-time gain was lost
+// to the other serving threads and to CPU steal.
+constexpr std::int64_t kMinParallelRows = 64;
 
-void for_rows(std::int64_t m,
-              const std::function<void(std::size_t, std::size_t)>& body) {
+template <class Body>
+void for_rows(std::int64_t m, std::int64_t row_macs, int mr, const Body& body) {
   auto& pool = ThreadPool::global();
-  if (m < kParallelRowThreshold || pool.worker_count() == 0) {
-    body(0, static_cast<std::size_t>(m));
+  const std::int64_t chunks =
+      std::min((m + mr - 1) / mr, m * row_macs / kMinChunkMacs);
+  if (m < kMinParallelRows || chunks <= 1 || pool.worker_count() == 0) {
+    body(std::size_t{0}, static_cast<std::size_t>(m));
   } else {
-    pool.parallel_for(0, static_cast<std::size_t>(m), body);
+    pool.parallel_for(0, static_cast<std::size_t>(m), body,
+                      static_cast<std::size_t>(chunks),
+                      static_cast<std::size_t>(mr));
   }
 }
 
@@ -431,7 +441,7 @@ std::int64_t clamp_nc(std::int64_t nc) { return std::max<std::int64_t>(nc, 8); }
 // Runs the skeleton over all m rows of C, row-parallel.
 template <class P, typename BT>
 void gemm_stream(const StreamArgs<BT>& s, std::int64_t m, int mr) {
-  for_rows(m, [=](std::size_t lo, std::size_t hi) {
+  for_rows(m, s.n * s.k, mr, [&](std::size_t lo, std::size_t hi) {
     gemm_stream_rows<P>(s, static_cast<std::int64_t>(lo),
                         static_cast<std::int64_t>(hi), mr);
   });
@@ -477,7 +487,7 @@ void gemm_nn_variant(const float* a, const float* b, float* c, std::int64_t m,
 #endif
   // Without SIMD every variant runs the one scalar loop: tiling cannot
   // change results OR behavior, so tuned and untuned builds stay identical.
-  for_rows(m, [=](std::size_t lo, std::size_t hi) {
+  for_rows(m, n * k, 1, [=](std::size_t lo, std::size_t hi) {
     gemm_nn_scalar_rows(a, b, c, lo, hi, n, k, accumulate);
   });
 }
@@ -493,7 +503,7 @@ void gemm_nn_bf16(const float* a, const std::uint16_t* b, float* c,
     return;
   }
 #endif
-  for_rows(m, [=](std::size_t lo, std::size_t hi) {
+  for_rows(m, n * k, 1, [=](std::size_t lo, std::size_t hi) {
     gemm_bf16_scalar_rows(a, b, c, lo, hi, n, k);
   });
 }
@@ -509,7 +519,7 @@ void gemm_nn_int8(const float* a, const std::int8_t* b, const float* scale,
     return;
   }
 #endif
-  for_rows(m, [=](std::size_t lo, std::size_t hi) {
+  for_rows(m, n * k, 1, [=](std::size_t lo, std::size_t hi) {
     gemm_int8_scalar_rows(a, b, scale, c, lo, hi, n, k);
   });
 }
@@ -535,7 +545,7 @@ void gemm_nt(const float* a, const float* b, float* c, std::int64_t m,
     return;
   }
 #endif
-  for_rows(m, [=](std::size_t lo, std::size_t hi) {
+  for_rows(m, n * k, 1, [=](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       const float* arow = a + i * static_cast<std::size_t>(k);
       float* crow = c + i * static_cast<std::size_t>(n);
@@ -559,7 +569,7 @@ void gemm_tn(const float* a, const float* b, float* c, std::int64_t m,
     return;
   }
 #endif
-  for_rows(m, [=](std::size_t lo, std::size_t hi) {
+  for_rows(m, n * k, 1, [=](std::size_t lo, std::size_t hi) {
     for (std::size_t i = lo; i < hi; ++i) {
       float* crow = c + i * static_cast<std::size_t>(n);
       if (!accumulate) std::memset(crow, 0, sizeof(float) * static_cast<std::size_t>(n));

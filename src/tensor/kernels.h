@@ -4,8 +4,12 @@
 // All matmuls are row-major. Loop orders are chosen so the innermost loop
 // streams contiguously (i-k-j for NN and TN, dot-rows for the scalar NT),
 // which is the same cache-blocking reasoning the paper applies at the MI250X
-// matrix-core level. Row-parallelism goes through ThreadPool::global() and
-// degrades to serial on one core.
+// matrix-core level. Every GEMM is row-parallel over ThreadPool::global(),
+// sized by work: the rows of C split into chunks of at least kMinChunkMacs
+// multiply-adds, with bounds on multiples of the microkernel's row block.
+// A GEMM too small for two chunks, one of fewer than 64 rows, or any GEMM
+// on a one-CPU host runs on the calling thread. Each C row's bytes depend
+// only on its own A row and B, so chunking never changes output bytes.
 //
 // On x86 with AVX2+FMA (runtime-dispatched; disabled by -DMATGPT_PORTABLE),
 // gemm_nn uses a streaming multi-row microkernel: B is read once per row
@@ -41,6 +45,14 @@
 #include <span>
 
 namespace matgpt::kernels {
+
+/// Least multiply-adds per chunk of a row-parallel GEMM. A fork-join of 2-4
+/// chunks costs ~20-30 us of process CPU beyond its chunks' own (helpers'
+/// wake and sleep, the caller's wait; bench_kernels_microbench's
+/// BM_ParallelForDispatch with a non-empty body), and a 2^21-MAC chunk
+/// takes ~90 us (gemm_nn) to ~200 us (gemm_nt/gemm_tn) on one AVX2 core,
+/// so dispatch stays near a tenth of the work it hands out.
+inline constexpr std::int64_t kMinChunkMacs = std::int64_t{1} << 21;
 
 /// Storage format of a GEMM's B (weight) operand.
 enum class WeightFormat : std::uint8_t { kF32 = 0, kBf16 = 1, kInt8 = 2 };

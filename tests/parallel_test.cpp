@@ -1,12 +1,20 @@
 // Unit tests for the thread pool and the in-process MPI-style communicator.
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
+#include <future>
+#include <latch>
 #include <mutex>
 #include <numeric>
+#include <set>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
@@ -47,6 +55,144 @@ TEST(ThreadPool, ParallelForPropagatesExceptions) {
                           if (lo == 0) throw Error("boom");
                         }),
       Error);
+}
+
+TEST(ThreadPool, ParallelForRunsOnCallingThread) {
+  ThreadPool pool(3);
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  pool.parallel_for(0, 64, [&](std::size_t, std::size_t) {
+    std::lock_guard lock(mu);
+    ids.insert(std::this_thread::get_id());
+  }, 8);
+  EXPECT_EQ(ids.count(std::this_thread::get_id()), 1u);
+}
+
+TEST(ThreadPool, ParallelForReturnsWhileEveryWorkerIsBusy) {
+  // Both workers block in submitted tasks; the caller must run every chunk
+  // itself instead of waiting for a helper that cannot start.
+  ThreadPool pool(2);
+  std::latch started(2);
+  std::promise<void> release;
+  std::shared_future<void> gate = release.get_future().share();
+  std::vector<std::future<void>> blockers;
+  for (int i = 0; i < 2; ++i) {
+    blockers.push_back(pool.submit([&started, gate] {
+      started.count_down();
+      gate.wait();
+    }));
+  }
+  started.wait();
+  std::vector<std::atomic<int>> hits(100);
+  for (int rep = 0; rep < 3; ++rep) {
+    pool.parallel_for(0, 100, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+    }, 10);
+  }
+  for (auto& h : hits) EXPECT_EQ(h.load(), 3);
+  release.set_value();
+  for (auto& f : blockers) f.get();
+  // The helper slots left behind by the calls above are harmless.
+  std::atomic<int> after{0};
+  pool.parallel_for(0, 8, [&](std::size_t lo, std::size_t hi) {
+    after.fetch_add(static_cast<int>(hi - lo));
+  }, 8);
+  EXPECT_EQ(after.load(), 8);
+}
+
+TEST(ThreadPool, CallerExceptionWaitsForRunningHelperChunks) {
+  ThreadPool pool(3);
+  std::atomic<int> started{0};
+  std::atomic<int> finished{0};
+  EXPECT_THROW(
+      pool.parallel_for(0, 4, [&](std::size_t lo, std::size_t) {
+        if (lo == 0) {
+          // The caller's chunk: give the helpers time to claim theirs.
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(5);
+          while (started.load() == 0 &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          }
+          throw Error("caller chunk failed");
+        }
+        started.fetch_add(1);
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        finished.fetch_add(1);
+      }, 4),
+      Error);
+  EXPECT_GE(started.load(), 1);
+  EXPECT_EQ(finished.load(), started.load());
+}
+
+TEST(ThreadPool, ConcurrentCallersShareOnePool) {
+  ThreadPool pool(3);
+  constexpr int kCallers = 4;
+  constexpr std::size_t kRange = 1000;
+  std::vector<std::vector<int>> hits(kCallers, std::vector<int>(kRange, 0));
+  std::vector<std::thread> callers;
+  for (int t = 0; t < kCallers; ++t) {
+    callers.emplace_back([&, t] {
+      for (int rep = 0; rep < 50; ++rep) {
+        pool.parallel_for(0, kRange, [&](std::size_t lo, std::size_t hi) {
+          for (std::size_t i = lo; i < hi; ++i) ++hits[t][i];
+        }, 16, 8);
+      }
+    });
+  }
+  for (auto& c : callers) c.join();
+  for (const auto& h : hits) {
+    EXPECT_TRUE(std::all_of(h.begin(), h.end(), [](int v) { return v == 50; }));
+  }
+}
+
+TEST(ThreadPool, ChunkBoundsAreGrainMultiplesCoveringRangeOnce) {
+  struct Case {
+    std::size_t workers, begin, end, max_chunks, grain;
+  };
+  const Case cases[] = {{3, 0, 100, 7, 8},  {3, 5, 105, 4, 16},
+                        {3, 0, 101, 13, 8}, {3, 0, 7, 4, 8},
+                        {2, 3, 1000, 0, 1}, {3, 0, 50, 50, 1},
+                        {0, 0, 100, 8, 8}};
+  for (const Case& cs : cases) {
+    ThreadPool pool(cs.workers);
+    std::mutex mu;
+    std::vector<std::pair<std::size_t, std::size_t>> spans;
+    pool.parallel_for(cs.begin, cs.end, [&](std::size_t lo, std::size_t hi) {
+      std::lock_guard lock(mu);
+      spans.emplace_back(lo, hi);
+    }, cs.max_chunks, cs.grain);
+    std::sort(spans.begin(), spans.end());
+    ASSERT_FALSE(spans.empty());
+    if (cs.max_chunks > 0) {
+      EXPECT_LE(spans.size(), cs.max_chunks);
+    }
+    std::size_t at = cs.begin;
+    for (const auto& [lo, hi] : spans) {
+      EXPECT_EQ(lo, at) << "gap or overlap at " << lo;
+      EXPECT_LT(lo, hi);
+      EXPECT_EQ((lo - cs.begin) % cs.grain, 0u) << "chunk start " << lo;
+      at = hi;
+    }
+    EXPECT_EQ(at, cs.end);
+  }
+}
+
+TEST(ThreadPool, AvailableCpusFollowsAffinityMask) {
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  ASSERT_EQ(sched_getaffinity(0, sizeof(mask), &mask), 0);
+  EXPECT_EQ(available_cpus(), static_cast<std::size_t>(CPU_COUNT(&mask)));
+  if (CPU_COUNT(&mask) < 2) return;
+  // Pin this thread to its first allowed CPU, as `taskset -c` would.
+  int first = 0;
+  while (!CPU_ISSET(first, &mask)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  EXPECT_EQ(available_cpus(), 1u);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(mask), &mask), 0);
 }
 
 TEST(Comm, WorldSizeAndRankAssignment) {

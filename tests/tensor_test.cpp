@@ -7,6 +7,8 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -305,7 +307,7 @@ class BackwardGemmShapes
     : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
 
 // Shapes: k = 1, n < 8, n % 8 != 0, n across several 512-column chunks,
-// and m on both sides of the 64-row threshold (serial and pool paths).
+// and M*N*K on both sides of the pool's work cutover (serial and pool paths).
 TEST_P(BackwardGemmShapes, NtAndTnMatchScalarLoopsBytewise) {
   const auto [m, n, k] = GetParam();
   Rng rng(static_cast<std::uint64_t>(m * 7919 + n * 131 + k));
@@ -424,6 +426,70 @@ TEST(BackwardGemm, RowsIndependentOfMAndChunking) {
     kernels::gemm_tn(a_cols.data(), b.data(), part.data(), rows, n, k, true);
     EXPECT_TRUE(same_bytes(part, full_part(full_tn)))
         << "gemm_tn rows [" << lo << ", " << hi << ")";
+  }
+}
+
+// Around the pool's cutovers (kMinChunkMacs per chunk: one chunk runs on
+// the caller, two or more run pooled; and 64 rows) every GEMM must write
+// the bytes of one serial call per C row. m is never a multiple of 8, so
+// the last chunk ends in a short row block.
+TEST(Gemm, PooledRowsMatchOneSerialCallPerRow) {
+  std::vector<std::tuple<std::int64_t, std::int64_t, std::int64_t>> shapes;
+  for (const auto& [n, k] : {std::pair<std::int64_t, std::int64_t>{64, 64},
+                             {176, 64}}) {
+    for (const std::int64_t chunks : {1, 2, 5}) {
+      const std::int64_t at = chunks * kernels::kMinChunkMacs / (n * k);
+      for (std::int64_t m : {at - 1, at + 1}) {
+        shapes.emplace_back(m % 8 == 0 ? m + 1 : m, n, k);
+      }
+    }
+  }
+  // Wide rows: enough work for several chunks on either side of 64 rows.
+  shapes.emplace_back(63, 512, 512);
+  shapes.emplace_back(65, 512, 512);
+  for (const auto& [m, n, k] : shapes) {
+    Rng rng(static_cast<std::uint64_t>(m * 31 + n));
+    const auto mn = static_cast<std::size_t>(m * n);
+    const std::vector<float> a = randn_with_zeros(static_cast<std::size_t>(m * k), rng);
+    const std::vector<float> b = randn_with_zeros(static_cast<std::size_t>(n * k), rng);
+    const std::vector<float> c0 = randn_with_zeros(mn, rng);
+    const std::string shape = "m=" + std::to_string(m) + " n=" +
+                              std::to_string(n) + " k=" + std::to_string(k);
+    // gemm_tn's row i reads column i of A [k, m].
+    std::vector<float> a_col(static_cast<std::size_t>(k));
+    const auto col = [&](std::int64_t i) {
+      for (std::int64_t l = 0; l < k; ++l) {
+        a_col[static_cast<std::size_t>(l)] = a[static_cast<std::size_t>(l * m + i)];
+      }
+      return a_col.data();
+    };
+    for (const bool acc : {false, true}) {
+      std::vector<float> want_nn = c0, want_nt = c0, want_tn = c0;
+      for (std::int64_t i = 0; i < m; ++i) {
+        float* row_nn = want_nn.data() + i * n;
+        float* row_nt = want_nt.data() + i * n;
+        float* row_tn = want_tn.data() + i * n;
+        kernels::gemm_nn(a.data() + i * k, b.data(), row_nn, 1, n, k, acc);
+        kernels::gemm_nt(a.data() + i * k, b.data(), row_nt, 1, n, k, acc);
+        kernels::gemm_tn(col(i), b.data(), row_tn, 1, n, k, acc);
+      }
+      std::vector<float> got = c0;
+      kernels::gemm_nn(a.data(), b.data(), got.data(), m, n, k, acc);
+      EXPECT_TRUE(same_bytes(got, want_nn)) << "gemm_nn " << shape;
+      for (const int mr : {16, 32}) {
+        got = c0;
+        kernels::gemm_nn_variant(a.data(), b.data(), got.data(), m, n, k,
+                                 acc, kernels::GemmVariant{mr, 256});
+        EXPECT_TRUE(same_bytes(got, want_nn))
+            << "gemm_nn_variant mr=" << mr << " " << shape;
+      }
+      got = c0;
+      kernels::gemm_nt(a.data(), b.data(), got.data(), m, n, k, acc);
+      EXPECT_TRUE(same_bytes(got, want_nt)) << "gemm_nt " << shape;
+      got = c0;
+      kernels::gemm_tn(a.data(), b.data(), got.data(), m, n, k, acc);
+      EXPECT_TRUE(same_bytes(got, want_tn)) << "gemm_tn " << shape;
+    }
   }
 }
 
