@@ -1,12 +1,15 @@
 // Google-benchmark microbenchmarks of the CPU engine's hot kernels: the
 // blocked GEMM variants, flash vs. materialized attention (forward and
-// forward+backward), and the fused cross-entropy — the on-engine analog of
-// the paper's kernel-level analysis (Fig. 10).
+// forward+backward), the fused cross-entropy, pretrain's element-wise ops
+// (SwiGLU, RMSNorm) and its Adam step — the on-engine analog of the
+// paper's kernel-level analysis (Fig. 10).
 
 #include <benchmark/benchmark.h>
 #include <time.h>
 
 #include "common/rng.h"
+#include "nn/gpt.h"
+#include "optim/optimizer.h"
 #include "parallel/thread_pool.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
@@ -211,7 +214,9 @@ void BM_AttentionFlashTrain(benchmark::State& state) {
   attention_train(state, true);
 }
 BENCHMARK(BM_AttentionMaterializedTrain)->Arg(64)->Arg(128);
-BENCHMARK(BM_AttentionFlashTrain)->Arg(64)->Arg(128);
+// Arg(32) is pretrain's sequence length.
+BENCHMARK(BM_AttentionFlashTrain)->Arg(32)->Arg(64)->Arg(128)
+    ->MeasureProcessCPUTime();
 
 void BM_CrossEntropy(benchmark::State& state) {
   const auto v = static_cast<std::int64_t>(state.range(0));
@@ -248,6 +253,60 @@ void BM_LayerNorm(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_LayerNorm);
+
+// Pretrain's element-wise ops in train mode (forward and backward) at its
+// shapes: 8 sequences x 32 tokens, the SwiGLU inner width 176 and the
+// hidden width 64.
+void BM_SwiGlu(benchmark::State& state) {
+  Rng rng(5);
+  Tensor gate0 = Tensor::randn({kTrainTokens, 176}, rng);
+  Tensor up0 = Tensor::randn({kTrainTokens, 176}, rng);
+  for (auto _ : state) {
+    Tape tape;
+    Var gate = tape.leaf(gate0.clone(), true);
+    Var up = tape.leaf(up0.clone(), true);
+    tape.backward(ops::sum_all(tape, ops::swiglu(tape, gate, up)));
+    benchmark::DoNotOptimize(gate.grad().data());
+  }
+}
+BENCHMARK(BM_SwiGlu)->MeasureProcessCPUTime();
+
+void BM_RmsNorm(benchmark::State& state) {
+  Rng rng(6);
+  Tensor x0 = Tensor::randn({kTrainTokens, 64}, rng);
+  Tensor g0 = Tensor::full({64}, 1.0f);
+  for (auto _ : state) {
+    Tape tape;
+    Var x = tape.leaf(x0.clone(), true);
+    Var g = tape.leaf(g0.clone(), true);
+    tape.backward(ops::sum_all(tape, ops::rms_norm(tape, x, g)));
+    benchmark::DoNotOptimize(x.grad().data());
+  }
+}
+BENCHMARK(BM_RmsNorm)->MeasureProcessCPUTime();
+
+// One Adam step over pretrain's parameter set: the scaled LLaMA model
+// (hidden 64, 2 layers, 2 heads, vocab 512) with a gradient on every
+// parameter.
+void BM_AdamStep(benchmark::State& state) {
+  nn::GptConfig config;
+  config.arch = nn::ArchFamily::kLLaMA;
+  config.max_seq = 32;
+  nn::GptModel model(config);
+  Rng rng(7);
+  std::int64_t params = 0;
+  for (auto& p : model.parameters()) {
+    p.var.node()->accumulate(Tensor::randn(p.var.value().shape(), rng));
+    params += p.var.value().numel();
+  }
+  optim::Adam adam(model.parameters());
+  for (auto _ : state) {
+    adam.step(1e-4);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * params);
+}
+BENCHMARK(BM_AdamStep)->MeasureProcessCPUTime();
 
 }  // namespace
 

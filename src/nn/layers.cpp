@@ -105,9 +105,9 @@ SwiGluMlp::SwiGluMlp(std::int64_t hidden, Rng& rng, float out_init_scale,
 }
 
 Var SwiGluMlp::forward(Tape& tape, const Var& x, FwdPath path) const {
-  Var g = ops::silu(tape, gate_.forward(tape, x, path));
+  Var g = gate_.forward(tape, x, path);
   Var u = up_.forward(tape, x, path);
-  return down_.forward(tape, ops::mul(tape, g, u), path);
+  return down_.forward(tape, ops::swiglu(tape, g, u), path);
 }
 
 void SwiGluMlp::set_decode_weights(kernels::WeightFormat format) const {

@@ -46,6 +46,13 @@ class Optimizer {
 
   /// Scale all gradients so the global L2 norm is at most max_norm.
   /// Returns the pre-clip norm.
+  ///
+  /// Adam and LAMB defer the scale to their next step(), which multiplies
+  /// each gradient as it reads it (the same float multiply, so the same
+  /// bytes) and stores the scaled gradient back: one pass over the
+  /// gradients instead of two. Until that step() the gradients read
+  /// unscaled. A gradient replaced in the meantime (the model's grads
+  /// dropped and recomputed) is not scaled.
   double clip_grad_norm(double max_norm);
 
   void zero_grad();
@@ -57,7 +64,21 @@ class Optimizer {
   const std::vector<nn::NamedParam>& params() const { return params_; }
 
  protected:
+  /// Whether step() applies a pending clip scale itself.
+  virtual bool fuses_clip() const { return false; }
+  /// The clip scale step() must apply to parameter i's gradient `g`: 1
+  /// when none is pending for that gradient.
+  float clip_scale_for(std::size_t i, const Tensor& g) const;
+  /// Drops any pending clip scale (after a step()).
+  void clear_clip() { clipped_.clear(); }
+
   std::vector<nn::NamedParam> params_;
+
+ private:
+  /// The gradients a deferred clip covers (shared handles, so a storage
+  /// cannot be freed and its address reused before step() compares it).
+  std::vector<Tensor> clipped_;
+  float clip_scale_ = 1.0f;
 };
 
 struct SgdConfig {
@@ -92,6 +113,8 @@ class Adam : public Optimizer {
   double state_bytes_per_param() const override { return 8.0; }  // m + v fp32
 
  protected:
+  bool fuses_clip() const override { return true; }
+
   AdamConfig config_;
   std::int64_t t_ = 0;
   std::vector<Tensor> m_;
@@ -125,6 +148,8 @@ class Lamb : public Optimizer {
   }
 
  private:
+  bool fuses_clip() const override { return true; }
+
   LambConfig config_;
   std::int64_t t_ = 0;
   std::vector<Tensor> m_;

@@ -415,9 +415,9 @@ Var TpModel::mlp_shard(Tape& tape, int rank, const RankState& rs,
     if (ls.bu.defined()) u = ops::add_bias(tape, u, ls.bu);
     inner = ops::gelu(tape, u);
   } else {
-    Var g = ops::silu(tape, ops::matmul(tape, x, ls.wg));
+    Var g = ops::matmul(tape, x, ls.wg);
     Var u = ops::matmul(tape, x, ls.wu);
-    inner = ops::mul(tape, g, u);
+    inner = ops::swiglu(tape, g, u);
   }
   if (config_.layout == TpLayout::kColumnGather) {
     Var full = gather_cols(tape, rank, rs, inner, inner_total_, comm_s);

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
-#include <thread>
 #include <vector>
 
 #include "common/error.h"
 #include "nn/layers.h"
 #include "parallel/comm.h"
+#include "parallel/thread_pool.h"
 #include "simfrontier/gemm_model.h"
 #include "simfrontier/network_model.h"
 #include "tensor/autograd.h"
@@ -88,7 +88,9 @@ double measure_barrier_s(int ranks) {
 HostCalibration calibrate_host(int ranks) {
   MGPT_CHECK(ranks >= 1, "calibrate_host requires ranks >= 1");
   HostCalibration cal;
-  cal.cores = std::max(1u, std::thread::hardware_concurrency());
+  // The CPUs this process may run on (its affinity mask), not the host's:
+  // pinned to one core, every rank shares that core.
+  cal.cores = static_cast<int>(available_cpus());
   // Measure the reference GEMM at per-rank width: sharded projections are
   // ~1/ranks as wide as their TP=1 counterparts, and anchoring the peak at a
   // matching width lets the efficiency model's shape penalty divide out

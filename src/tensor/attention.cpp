@@ -19,11 +19,7 @@
 #include "common/error.h"
 #include "tensor/kernels.h"
 #include "tensor/ops.h"
-
-#if defined(__x86_64__) && defined(__GNUC__)
-#define MATGPT_X86_DISPATCH 1
-#include <immintrin.h>
-#endif
+#include "tensor/simd.h"
 
 namespace matgpt::ops {
 
@@ -44,28 +40,165 @@ inline std::size_t bthd_off(const AttnShape& s, std::int64_t b,
   return static_cast<std::size_t>(((b * s.t + t) * s.h + h) * s.d);
 }
 
+// Where kv time step tk of one (sequence, kv head) lives. Contiguous: at
+// k0/v0 + tk * stride. Paged (block-paged KV pool): at
+// blocks[tk / bt] + off + (tk % bt) * stride, a gather over block base
+// pointers. Only the addresses differ; every kernel below runs the same
+// float ops over either, which is what makes block-paged KV storage
+// bit-identical to slab storage.
+struct ContiguousKv {
+  const float* k0;
+  const float* v0;
+  std::int64_t stride;
+  const float* k(std::int64_t tk) const { return k0 + tk * stride; }
+  const float* v(std::int64_t tk) const { return v0 + tk * stride; }
+};
+
+struct PagedKv {
+  const float* const* kb;
+  const float* const* vb;
+  std::int64_t bt, off, stride;
+  const float* k(std::int64_t tk) const {
+    return kb[tk / bt] + off + (tk % bt) * stride;
+  }
+  const float* v(std::int64_t tk) const {
+    return vb[tk / bt] + off + (tk % bt) * stride;
+  }
+};
+
+// Every attention path — full forwards, ragged decode, flash and
+// materialized alike, training and serving — computes its q·k and dO·v
+// products with one dot-product sequence and accumulates P·V with one
+// axpy, chosen once per process: with AVX2+FMA, an 8-lane FMA chain
+// reduced lo+hi, movehl, then lane 1, followed by a scalar fmaf tail;
+// without it, a sequential scalar sum. So no two paths can disagree
+// bitwise, which is why full forward ≡ cached decode. A row kernel makes
+// the dispatch decision once and inlines the products, scoring a block of
+// keys at a time.
+
+/// Keys scored per block by the row kernels (their stack scratch).
+constexpr std::int64_t kKeyBlock = 16;
+
+float dot_scalar(const float* a, const float* b, std::int64_t d) {
+  float acc = 0.0f;
+  for (std::int64_t i = 0; i < d; ++i) acc += a[i] * b[i];
+  return acc;
+}
+
+/// out[0..d) += w * v[0..d)
+void axpy_scalar(float* out, float w, const float* v, std::int64_t d) {
+  for (std::int64_t i = 0; i < d; ++i) out[i] = std::fmaf(w, v[i], out[i]);
+}
+
+// Scalar row kernels (hosts without AVX2+FMA, and MATGPT_PORTABLE).
+
+/// Flash variant: online softmax over `len` kv rows. Writes the attended
+/// output to `out` and returns the row's logsumexp. `acc` is caller scratch
+/// of length d.
+template <class Kv>
+float flash_row_scalar(const float* qv, const Kv& kv, std::int64_t len,
+                       std::int64_t d, float scl, float* out, float* acc) {
+  float m = -std::numeric_limits<float>::infinity();
+  double l = 0.0;
+  std::fill(acc, acc + d, 0.0f);
+  for (std::int64_t tk = 0; tk < len; ++tk) {
+    const float sc = scl * dot_scalar(qv, kv.k(tk), d);
+    if (sc > m) {
+      const float rescale = std::exp(m - sc);
+      for (std::int64_t i = 0; i < d; ++i) acc[i] *= rescale;
+      l *= rescale;
+      m = sc;
+    }
+    const float w = std::exp(sc - m);
+    l += w;
+    axpy_scalar(acc, w, kv.v(tk), d);
+  }
+  const auto inv = static_cast<float>(1.0 / l);
+  for (std::int64_t i = 0; i < d; ++i) out[i] = acc[i] * inv;
+  return m + static_cast<float>(std::log(l));
+}
+
+/// Materialized variant: scores into `prow` (softmaxed in place, length >=
+/// len), attended output accumulated into `out` (caller provides zeros).
+template <class Kv>
+void materialized_row_scalar(const float* qv, const Kv& kv, std::int64_t len,
+                             std::int64_t d, float scl, float* out,
+                             float* prow) {
+  for (std::int64_t tk = 0; tk < len; ++tk) {
+    prow[tk] = scl * dot_scalar(qv, kv.k(tk), d);
+  }
+  kernels::softmax_row(prow, len);
+  for (std::int64_t tk = 0; tk < len; ++tk) {
+    axpy_scalar(out, prow[tk], kv.v(tk), d);
+  }
+}
+
 #ifdef MATGPT_X86_DISPATCH
 #pragma GCC push_options
 #pragma GCC target("avx2,fma")
 
-__attribute__((noinline)) float dot_d_avx2(const float* a, const float* b,
-                                           std::int64_t d) {
+using simd::rounded;
+
+inline float hsum_dot(__m256 acc) {
+  __m128 lo = _mm256_castps256_ps128(acc);
+  lo = _mm_add_ps(lo, _mm256_extractf128_ps(acc, 1));
+  lo = _mm_add_ps(lo, _mm_movehl_ps(lo, lo));
+  lo = _mm_add_ss(lo, _mm_shuffle_ps(lo, lo, 1));
+  return _mm_cvtss_f32(lo);
+}
+
+inline float dot_avx2(const float* a, const float* b, std::int64_t d) {
   __m256 acc = _mm256_setzero_ps();
   std::int64_t i = 0;
   for (; i + 8 <= d; i += 8) {
     acc = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i), acc);
   }
-  __m128 lo = _mm256_castps256_ps128(acc);
-  lo = _mm_add_ps(lo, _mm256_extractf128_ps(acc, 1));
-  lo = _mm_add_ps(lo, _mm_movehl_ps(lo, lo));
-  lo = _mm_add_ss(lo, _mm_shuffle_ps(lo, lo, 1));
-  float out = _mm_cvtss_f32(lo);
+  float out = hsum_dot(acc);
   for (; i < d; ++i) out = std::fmaf(a[i], b[i], out);
   return out;
 }
 
-__attribute__((noinline)) void axpy_d_avx2(float* out, float w, const float* v,
-                                           std::int64_t d) {
+/// out[j] = dot(a, rows[j]) for j < 4: the dot_avx2 sequence per row, four
+/// rows interleaved so their FMA chains overlap.
+inline void dot4_avx2(const float* a, const float* const* rows,
+                      std::int64_t d, float* out) {
+  __m256 acc0 = _mm256_setzero_ps();
+  __m256 acc1 = _mm256_setzero_ps();
+  __m256 acc2 = _mm256_setzero_ps();
+  __m256 acc3 = _mm256_setzero_ps();
+  std::int64_t i = 0;
+  for (; i + 8 <= d; i += 8) {
+    const __m256 av = _mm256_loadu_ps(a + i);
+    acc0 = _mm256_fmadd_ps(av, _mm256_loadu_ps(rows[0] + i), acc0);
+    acc1 = _mm256_fmadd_ps(av, _mm256_loadu_ps(rows[1] + i), acc1);
+    acc2 = _mm256_fmadd_ps(av, _mm256_loadu_ps(rows[2] + i), acc2);
+    acc3 = _mm256_fmadd_ps(av, _mm256_loadu_ps(rows[3] + i), acc3);
+  }
+  out[0] = hsum_dot(acc0);
+  out[1] = hsum_dot(acc1);
+  out[2] = hsum_dot(acc2);
+  out[3] = hsum_dot(acc3);
+  for (; i < d; ++i) {
+    for (int j = 0; j < 4; ++j) out[j] = std::fmaf(a[i], rows[j][i], out[j]);
+  }
+}
+
+/// sc[j] = scl * dot(qv, k(t0 + j)) for j < n.
+template <class Kv>
+inline void scores_avx2(const float* qv, const Kv& kv, std::int64_t t0,
+                        std::int64_t n, std::int64_t d, float scl, float* sc) {
+  for (std::int64_t j = 0; j < n; j += 4) {
+    const std::int64_t nb = std::min<std::int64_t>(4, n - j);
+    // A short last group repeats its first key in the unused slots.
+    const float* rows[4];
+    for (std::int64_t r = 0; r < 4; ++r) rows[r] = kv.k(t0 + j + (r < nb ? r : 0));
+    float dots[4];
+    dot4_avx2(qv, rows, d, dots);
+    for (std::int64_t r = 0; r < nb; ++r) sc[j + r] = rounded(scl * dots[r]);
+  }
+}
+
+inline void axpy_avx2(float* out, float w, const float* v, std::int64_t d) {
   const __m256 wv = _mm256_set1_ps(w);
   std::int64_t i = 0;
   for (; i + 8 <= d; i += 8) {
@@ -75,134 +208,96 @@ __attribute__((noinline)) void axpy_d_avx2(float* out, float w, const float* v,
   for (; i < d; ++i) out[i] = std::fmaf(w, v[i], out[i]);
 }
 
-#pragma GCC pop_options
-
-bool attn_use_avx2() {
-  static const bool ok =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-  return ok;
+/// out[0..d) = x[0..d) * f
+inline void scale_avx2(float* out, const float* x, float f, std::int64_t d) {
+  const __m256 fv = _mm256_set1_ps(f);
+  std::int64_t i = 0;
+  for (; i + 8 <= d; i += 8) {
+    _mm256_storeu_ps(out + i, _mm256_mul_ps(_mm256_loadu_ps(x + i), fv));
+  }
+  for (; i < d; ++i) out[i] = x[i] * f;
 }
+
+/// flash_row_scalar's online softmax, byte for byte, over key blocks.
+template <class Kv>
+float flash_row_avx2(const float* qv, const Kv& kv, std::int64_t len,
+                     std::int64_t d, float scl, float* out, float* acc) {
+  float m = -std::numeric_limits<float>::infinity();
+  double l = 0.0;
+  std::fill(acc, acc + d, 0.0f);
+  float sc[kKeyBlock];
+  for (std::int64_t t0 = 0; t0 < len; t0 += kKeyBlock) {
+    const std::int64_t n = std::min(kKeyBlock, len - t0);
+    scores_avx2(qv, kv, t0, n, d, scl, sc);
+    for (std::int64_t j = 0; j < n; ++j) {
+      if (sc[j] > m) {
+        const float rescale = std::exp(m - sc[j]);
+        scale_avx2(acc, acc, rescale, d);
+        l = rounded(l * rescale);
+        m = sc[j];
+      }
+      const float w = std::exp(sc[j] - m);
+      l += w;
+      axpy_avx2(acc, w, kv.v(t0 + j), d);
+    }
+  }
+  scale_avx2(out, acc, static_cast<float>(1.0 / l), d);
+  return m + static_cast<float>(std::log(l));
+}
+
+template <class Kv>
+void materialized_row_avx2(const float* qv, const Kv& kv, std::int64_t len,
+                           std::int64_t d, float scl, float* out,
+                           float* prow) {
+  for (std::int64_t t0 = 0; t0 < len; t0 += kKeyBlock) {
+    scores_avx2(qv, kv, t0, std::min(kKeyBlock, len - t0), d, scl, prow + t0);
+  }
+  kernels::softmax_row(prow, len);
+  for (std::int64_t tk = 0; tk < len; ++tk) {
+    axpy_avx2(out, prow[tk], kv.v(tk), d);
+  }
+}
+
+__attribute__((noinline)) float dot_d_avx2(const float* a, const float* b,
+                                           std::int64_t d) {
+  return dot_avx2(a, b, d);
+}
+
+#pragma GCC pop_options
 #endif  // MATGPT_X86_DISPATCH
 
-// Every attention path — full forwards, ragged decode, flash and
-// materialized alike — funnels its dot products and weighted accumulations
-// through these two helpers, so the dispatch decision (made once per
-// process) can never make two paths disagree bitwise.
+/// The shared dot product, dispatched per call (the materialized backward).
 inline float dot_d(const float* a, const float* b, std::int64_t d) {
 #ifdef MATGPT_X86_DISPATCH
-  if (attn_use_avx2()) return dot_d_avx2(a, b, d);
+  if (simd::avx2_fma()) return dot_d_avx2(a, b, d);
 #endif
-  float acc = 0.0f;
-  for (std::int64_t i = 0; i < d; ++i) acc += a[i] * b[i];
-  return acc;
+  return dot_scalar(a, b, d);
 }
 
-/// out[0..d) += w * v[0..d)
-inline void axpy_d(float* out, float w, const float* v, std::int64_t d) {
+// The two per-query-row attention kernels. The full [B, T, H, D] forwards
+// below and the ragged-batch decode_attention op all run these exact
+// routines, so batched serving decode is bit-identical to the batch-1 path.
+
+template <class Kv>
+float flash_attend_row(const float* qv, const Kv& kv, std::int64_t len,
+                       std::int64_t d, float scl, float* out, float* acc) {
 #ifdef MATGPT_X86_DISPATCH
-  if (attn_use_avx2()) {
-    axpy_d_avx2(out, w, v, d);
+  if (simd::avx2_fma()) return flash_row_avx2(qv, kv, len, d, scl, out, acc);
+#endif
+  return flash_row_scalar(qv, kv, len, d, scl, out, acc);
+}
+
+template <class Kv>
+void materialized_attend_row(const float* qv, const Kv& kv, std::int64_t len,
+                             std::int64_t d, float scl, float* out,
+                             float* prow) {
+#ifdef MATGPT_X86_DISPATCH
+  if (simd::avx2_fma()) {
+    materialized_row_avx2(qv, kv, len, d, scl, out, prow);
     return;
   }
 #endif
-  for (std::int64_t i = 0; i < d; ++i) out[i] = std::fmaf(w, v[i], out[i]);
-}
-
-// The two per-query-row attention kernels. Both the full [B, T, H, D]
-// forwards below and the ragged-batch decode_attention op run these exact
-// routines, so batched serving decode is bit-identical to the batch-1 path.
-// Consecutive kv time steps are `stride` floats apart starting at k0/v0
-// (already offset to the right batch and kv head).
-
-/// Flash variant: online softmax over `len` kv rows. Writes the attended
-/// output to `out` and returns the row's logsumexp. `acc` is caller scratch
-/// of length d.
-inline float flash_attend_row(const float* qv, const float* k0,
-                              const float* v0, std::int64_t len,
-                              std::int64_t stride, std::int64_t d, float scl,
-                              float* out, float* acc) {
-  float m = -std::numeric_limits<float>::infinity();
-  double l = 0.0;
-  std::fill(acc, acc + d, 0.0f);
-  for (std::int64_t tk = 0; tk < len; ++tk) {
-    const float sc = scl * dot_d(qv, k0 + tk * stride, d);
-    if (sc > m) {
-      const float rescale = std::exp(m - sc);
-      for (std::int64_t i = 0; i < d; ++i) acc[i] *= rescale;
-      l *= rescale;
-      m = sc;
-    }
-    const float w = std::exp(sc - m);
-    l += w;
-    axpy_d(acc, w, v0 + tk * stride, d);
-  }
-  const auto inv = static_cast<float>(1.0 / l);
-  for (std::int64_t i = 0; i < d; ++i) out[i] = acc[i] * inv;
-  return m + static_cast<float>(std::log(l));
-}
-
-/// Materialized variant: scores into `prow` (softmaxed in place, length >=
-/// len), attended output accumulated into `out` (caller provides zeros).
-inline void materialized_attend_row(const float* qv, const float* k0,
-                                    const float* v0, std::int64_t len,
-                                    std::int64_t stride, std::int64_t d,
-                                    float scl, float* out, float* prow) {
-  for (std::int64_t tk = 0; tk < len; ++tk) {
-    prow[tk] = scl * dot_d(qv, k0 + tk * stride, d);
-  }
-  kernels::softmax_row(prow, len);
-  for (std::int64_t tk = 0; tk < len; ++tk) {
-    axpy_d(out, prow[tk], v0 + tk * stride, d);
-  }
-}
-
-// Paged counterparts: kv row tk lives at kb[tk / bt] + off + (tk % bt) *
-// stride (a gather over block base pointers) instead of k0 + tk * stride.
-// Everything else — the visit order, dot_d/axpy_d, the online-softmax
-// rescale — is byte-for-byte the same sequence of float ops as the
-// contiguous kernels above, which is what makes block-paged KV storage
-// bit-identical to slab storage.
-
-inline float flash_attend_row_paged(const float* qv, const float* const* kb,
-                                    const float* const* vb, std::int64_t len,
-                                    std::int64_t bt, std::int64_t off,
-                                    std::int64_t stride, std::int64_t d,
-                                    float scl, float* out, float* acc) {
-  float m = -std::numeric_limits<float>::infinity();
-  double l = 0.0;
-  std::fill(acc, acc + d, 0.0f);
-  for (std::int64_t tk = 0; tk < len; ++tk) {
-    const std::int64_t boff = off + (tk % bt) * stride;
-    const float sc = scl * dot_d(qv, kb[tk / bt] + boff, d);
-    if (sc > m) {
-      const float rescale = std::exp(m - sc);
-      for (std::int64_t i = 0; i < d; ++i) acc[i] *= rescale;
-      l *= rescale;
-      m = sc;
-    }
-    const float w = std::exp(sc - m);
-    l += w;
-    axpy_d(acc, w, vb[tk / bt] + boff, d);
-  }
-  const auto inv = static_cast<float>(1.0 / l);
-  for (std::int64_t i = 0; i < d; ++i) out[i] = acc[i] * inv;
-  return m + static_cast<float>(std::log(l));
-}
-
-inline void materialized_attend_row_paged(const float* qv,
-                                          const float* const* kb,
-                                          const float* const* vb,
-                                          std::int64_t len, std::int64_t bt,
-                                          std::int64_t off, std::int64_t stride,
-                                          std::int64_t d, float scl, float* out,
-                                          float* prow) {
-  for (std::int64_t tk = 0; tk < len; ++tk) {
-    prow[tk] = scl * dot_d(qv, kb[tk / bt] + off + (tk % bt) * stride, d);
-  }
-  kernels::softmax_row(prow, len);
-  for (std::int64_t tk = 0; tk < len; ++tk) {
-    axpy_d(out, prow[tk], vb[tk / bt] + off + (tk % bt) * stride, d);
-  }
+  materialized_row_scalar(qv, kv, len, d, scl, out, prow);
 }
 
 }  // namespace
@@ -308,9 +403,9 @@ Var attention_materialized(Tape& tape, const Var& q, const Var& k,
         const std::int64_t limit = causal ? tq + 1 : skv.t;
         float* prow = pp + static_cast<std::size_t>(
                                  ((b * s.h + h) * s.t + tq) * skv.t);
-        materialized_attend_row(qp + bthd_off(s, b, tq, h), k0, v0, limit,
-                                kv_stride, s.d, scl,
-                                op + bthd_off(s, b, tq, h), prow);
+        materialized_attend_row(qp + bthd_off(s, b, tq, h),
+                                ContiguousKv{k0, v0, kv_stride}, limit, s.d,
+                                scl, op + bthd_off(s, b, tq, h), prow);
       }
     }
   }
@@ -368,13 +463,113 @@ Var attention_materialized(Tape& tape, const Var& q, const Var& k,
   return result;
 }
 
+// Flash backward over one (batch, query head): for each query row tq and
+// key tk < limit(tq), in ascending tq then tk,
+//   p  = exp(scl * q·k - lse),  ds = p * (dO·v - dO·O)
+//   dQ[tq] += (scl * ds) * k,  dK[tk] += (scl * ds) * q,  dV[tk] += p * dO
+// where each += is a rounded multiply then a rounded add.
+struct FlashBwdHead {
+  const float* q0;   // q row tq at q0 + tq * q_stride
+  const float* g0;   // dO, same layout as q
+  const float* o0;   // O, same layout as q
+  float* qg0;        // dQ, same layout as q
+  std::int64_t q_stride;
+  const float* k0;   // k row tk at k0 + tk * kv_stride
+  const float* v0;
+  float* kg0;
+  float* vg0;
+  std::int64_t kv_stride;
+  const float* lse;  // per query row
+  std::int64_t t, kv_t, d;
+  bool causal;
+  float scl;
+};
+
+void flash_bwd_head_scalar(const FlashBwdHead& a) {
+  for (std::int64_t tq = 0; tq < a.t; ++tq) {
+    const std::int64_t limit = a.causal ? tq + 1 : a.kv_t;
+    const float* qv = a.q0 + tq * a.q_stride;
+    const float* gv = a.g0 + tq * a.q_stride;
+    float* qgv = a.qg0 + tq * a.q_stride;
+    // D = sum_k P_k dP_k collapses to dO·O (flash backward trick).
+    const float row_dot = dot_scalar(gv, a.o0 + tq * a.q_stride, a.d);
+    for (std::int64_t tk = 0; tk < limit; ++tk) {
+      const float* kv = a.k0 + tk * a.kv_stride;
+      const float* vv = a.v0 + tk * a.kv_stride;
+      const float p =
+          std::exp(a.scl * dot_scalar(qv, kv, a.d) - a.lse[tq]);
+      const float dp = dot_scalar(gv, vv, a.d);
+      const float ds = p * (dp - row_dot);
+      float* kgv = a.kg0 + tk * a.kv_stride;
+      float* vgv = a.vg0 + tk * a.kv_stride;
+      for (std::int64_t i = 0; i < a.d; ++i) {
+        qgv[i] += a.scl * ds * kv[i];
+        kgv[i] += a.scl * ds * qv[i];
+        vgv[i] += p * gv[i];
+      }
+    }
+  }
+}
+
+#ifdef MATGPT_X86_DISPATCH
+#pragma GCC push_options
+#pragma GCC target("avx2,fma")
+
+/// y[0..d) += c * x[0..d), a rounded multiply then a rounded add.
+inline void mul_add_avx2(float* y, float c, const float* x, std::int64_t d) {
+  const __m256 cv = _mm256_set1_ps(c);
+  std::int64_t i = 0;
+  for (; i + 8 <= d; i += 8) {
+    _mm256_storeu_ps(
+        y + i, _mm256_add_ps(_mm256_loadu_ps(y + i),
+                             rounded(_mm256_mul_ps(cv, _mm256_loadu_ps(x + i)))));
+  }
+  for (; i < d; ++i) y[i] = y[i] + rounded(c * x[i]);
+}
+
+/// flash_bwd_head_scalar, byte for byte: a key block's scores and dO·v
+/// products first (they read only q, k, v and dO), then its updates in the
+/// same tk order.
+void flash_bwd_head_avx2(const FlashBwdHead& a) {
+  float sc[kKeyBlock];
+  float dp[kKeyBlock];
+  for (std::int64_t tq = 0; tq < a.t; ++tq) {
+    const std::int64_t limit = a.causal ? tq + 1 : a.kv_t;
+    const float* qv = a.q0 + tq * a.q_stride;
+    const float* gv = a.g0 + tq * a.q_stride;
+    float* qgv = a.qg0 + tq * a.q_stride;
+    const float row_dot = dot_avx2(gv, a.o0 + tq * a.q_stride, a.d);
+    const ContiguousKv kv{a.k0, a.v0, a.kv_stride};
+    for (std::int64_t t0 = 0; t0 < limit; t0 += kKeyBlock) {
+      const std::int64_t n = std::min(kKeyBlock, limit - t0);
+      scores_avx2(qv, kv, t0, n, a.d, a.scl, sc);
+      // dO·v per key: scores_avx2 with unit scale and v rows for k rows.
+      scores_avx2(gv, ContiguousKv{a.v0, a.v0, a.kv_stride}, t0, n, a.d, 1.0f,
+                  dp);
+      for (std::int64_t j = 0; j < n; ++j) {
+        const std::int64_t tk = t0 + j;
+        const float p = std::exp(sc[j] - a.lse[tq]);
+        const float ds = p * (dp[j] - row_dot);
+        const float c = a.scl * ds;
+        mul_add_avx2(qgv, c, kv.k(tk), a.d);
+        mul_add_avx2(a.kg0 + tk * a.kv_stride, c, qv, a.d);
+        mul_add_avx2(a.vg0 + tk * a.kv_stride, p, gv, a.d);
+      }
+    }
+  }
+}
+
+#pragma GCC pop_options
+#endif  // MATGPT_X86_DISPATCH
+
 /// Flash attention: online softmax forward, recomputation backward.
 Var attention_flash(Tape& tape, const Var& q, const Var& k, const Var& v,
                     bool causal, const AttnShape& s, const AttnShape& skv) {
   const std::int64_t group = s.h / skv.h;  // query heads per kv head
   const float scl = 1.0f / std::sqrt(static_cast<float>(s.d));
-  Tensor out({s.b, s.t, s.h, s.d});
-  Tensor lse({s.b, s.h, s.t});  // per-row logsumexp — the only saved state
+  Tensor out = Tensor::uninitialized({s.b, s.t, s.h, s.d});
+  // Per-row logsumexp — the only saved state.
+  Tensor lse = Tensor::uninitialized({s.b, s.h, s.t});
   const float* qp = q.value().data();
   const float* kp = k.value().data();
   const float* vp = v.value().data();
@@ -385,13 +580,13 @@ Var attention_flash(Tape& tape, const Var& q, const Var& k, const Var& v,
   for (std::int64_t b = 0; b < s.b; ++b) {
     for (std::int64_t h = 0; h < s.h; ++h) {
       const std::int64_t hkv = h / group;
-      const float* k0 = kp + bthd_off(skv, b, 0, hkv);
-      const float* v0 = vp + bthd_off(skv, b, 0, hkv);
+      const ContiguousKv kv{kp + bthd_off(skv, b, 0, hkv),
+                            vp + bthd_off(skv, b, 0, hkv), kv_stride};
       for (std::int64_t tq = 0; tq < s.t; ++tq) {
         const std::int64_t limit = causal ? tq + 1 : skv.t;
-        lp[(b * s.h + h) * s.t + tq] = flash_attend_row(
-            qp + bthd_off(s, b, tq, h), k0, v0, limit, kv_stride, s.d, scl,
-            op + bthd_off(s, b, tq, h), acc.data());
+        lp[(b * s.h + h) * s.t + tq] =
+            flash_attend_row(qp + bthd_off(s, b, tq, h), kv, limit, s.d, scl,
+                             op + bthd_off(s, b, tq, h), acc.data());
       }
     }
   }
@@ -405,40 +600,24 @@ Var attention_flash(Tape& tape, const Var& q, const Var& k, const Var& v,
       Tensor& qg = qn->ensure_grad();
       Tensor& kg = kn->ensure_grad();
       Tensor& vg = vn->ensure_grad();
-      const float* g = rn->grad.data();
-      const float* o = rn->value.data();
-      const float* qp = qn->value.data();
-      const float* kp = kn->value.data();
-      const float* vp = vn->value.data();
-      const float* lp = lse.data();
       for (std::int64_t b = 0; b < s.b; ++b) {
         for (std::int64_t h = 0; h < s.h; ++h) {
           const std::int64_t hkv = h / group;
-          for (std::int64_t tq = 0; tq < s.t; ++tq) {
-            const std::int64_t limit = causal ? tq + 1 : skv.t;
-            const float* qv = qp + bthd_off(s, b, tq, h);
-            const float* gv = g + bthd_off(s, b, tq, h);
-            const float* ov = o + bthd_off(s, b, tq, h);
-            const float row_lse = lp[(b * s.h + h) * s.t + tq];
-            // D = sum_k P_k dP_k collapses to dO·O (flash backward trick).
-            const float row_dot = dot_d(gv, ov, s.d);
-            float* qgv = qg.data() + bthd_off(s, b, tq, h);
-            for (std::int64_t tk = 0; tk < limit; ++tk) {
-              const float* kv = kp + bthd_off(skv, b, tk, hkv);
-              const float* vv = vp + bthd_off(skv, b, tk, hkv);
-              const float p =
-                  std::exp(scl * dot_d(qv, kv, s.d) - row_lse);
-              const float dp = dot_d(gv, vv, s.d);
-              const float ds = p * (dp - row_dot);
-              float* kgv = kg.data() + bthd_off(skv, b, tk, hkv);
-              float* vgv = vg.data() + bthd_off(skv, b, tk, hkv);
-              for (std::int64_t i = 0; i < s.d; ++i) {
-                qgv[i] += scl * ds * kv[i];
-                kgv[i] += scl * ds * qv[i];
-                vgv[i] += p * gv[i];
-              }
-            }
+          const std::size_t qo = bthd_off(s, b, 0, h);
+          const std::size_t ko = bthd_off(skv, b, 0, hkv);
+          const FlashBwdHead head{
+              qn->value.data() + qo, rn->grad.data() + qo,
+              rn->value.data() + qo, qg.data() + qo, s.h * s.d,
+              kn->value.data() + ko, vn->value.data() + ko, kg.data() + ko,
+              vg.data() + ko, skv.h * skv.d,
+              lse.data() + (b * s.h + h) * s.t, s.t, skv.t, s.d, causal, scl};
+#ifdef MATGPT_X86_DISPATCH
+          if (simd::avx2_fma()) {
+            flash_bwd_head_avx2(head);
+            continue;
           }
+#endif
+          flash_bwd_head_scalar(head);
         }
       }
     });
@@ -547,7 +726,9 @@ Var decode_attention(Tape& tape, const Var& q, std::span<const RaggedKv> kv,
     }
     max_len = std::max(max_len, s.len);
   }
-  Tensor out({n, hq * d});  // 2D, ready for the output projection
+  // 2D, ready for the output projection. The materialized rows accumulate
+  // into zeros; the flash rows write every element.
+  Tensor out = flash ? Tensor::uninitialized({n, hq * d}) : Tensor({n, hq * d});
   float* op = out.data();
   const float* qp = qv.data();
   std::vector<float> acc(static_cast<std::size_t>(d));
@@ -563,21 +744,20 @@ Var decode_attention(Tape& tape, const Var& q, std::span<const RaggedKv> kv,
       const float* qrow = qp + (row * hq + h) * d;
       float* orow = op + row * hq * d + h * d;
       if (s.k_blocks != nullptr) {
+        const PagedKv pkv{s.k_blocks, s.v_blocks, s.block_tokens, hkv * d,
+                          stride};
         if (flash) {
-          flash_attend_row_paged(qrow, s.k_blocks, s.v_blocks, s.len,
-                                 s.block_tokens, hkv * d, stride, d, scl, orow,
-                                 acc.data());
+          flash_attend_row(qrow, pkv, s.len, d, scl, orow, acc.data());
         } else {
-          materialized_attend_row_paged(qrow, s.k_blocks, s.v_blocks, s.len,
-                                        s.block_tokens, hkv * d, stride, d,
-                                        scl, orow, prow.data());
+          materialized_attend_row(qrow, pkv, s.len, d, scl, orow, prow.data());
         }
-      } else if (flash) {
-        flash_attend_row(qrow, s.keys + hkv * d, s.values + hkv * d, s.len,
-                         stride, d, scl, orow, acc.data());
       } else {
-        materialized_attend_row(qrow, s.keys + hkv * d, s.values + hkv * d,
-                                s.len, stride, d, scl, orow, prow.data());
+        const ContiguousKv ckv{s.keys + hkv * d, s.values + hkv * d, stride};
+        if (flash) {
+          flash_attend_row(qrow, ckv, s.len, d, scl, orow, acc.data());
+        } else {
+          materialized_attend_row(qrow, ckv, s.len, d, scl, orow, prow.data());
+        }
       }
     }
   }

@@ -1,6 +1,7 @@
 #include "tensor/autograd.h"
 
 #include "common/error.h"
+#include "tensor/kernels.h"
 
 namespace matgpt {
 
@@ -9,12 +10,26 @@ Tensor& VarNode::ensure_grad() {
   return grad;
 }
 
+Tensor& VarNode::grad_for_kernel(bool& accumulate) {
+  accumulate = grad.defined();
+  if (!accumulate) grad = Tensor::uninitialized(value.shape());
+  return grad;
+}
+
 void VarNode::accumulate(const Tensor& g) {
   if (!requires_grad) return;
   MGPT_CHECK(g.numel() == value.numel(),
              "gradient numel mismatch: " << g.shape_str() << " vs "
                                          << value.shape_str());
-  ensure_grad().add_(g);
+  if (grad.defined()) {
+    grad.add_(g);
+    return;
+  }
+  // A first gradient: the bytes of zeros += g (0 + g, which turns a -0
+  // into +0) without the zero-fill.
+  grad = Tensor::uninitialized(value.shape());
+  kernels::add_scaled(grad.data(), g.data(), 1.0f, grad.numel(),
+                      /*overwrite=*/true);
 }
 
 void VarNode::zero_grad() { grad = Tensor(); }

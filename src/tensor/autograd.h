@@ -23,6 +23,12 @@ struct VarNode {
 
   /// Allocate (zeros like value) if needed, then return the grad tensor.
   Tensor& ensure_grad();
+  /// The grad tensor for a backward kernel that either accumulates into it
+  /// or overwrites every element: sets `accumulate` to whether a grad
+  /// already exists. A missing one is allocated without a zero-fill, so
+  /// the kernel's overwrite must give the bytes that accumulating into
+  /// zeros would.
+  Tensor& grad_for_kernel(bool& accumulate);
   /// grad += g (allocating on first use). No-op when !requires_grad.
   void accumulate(const Tensor& g);
   /// Drop the gradient storage (between steps).

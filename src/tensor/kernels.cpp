@@ -7,11 +7,7 @@
 #include <vector>
 
 #include "parallel/thread_pool.h"
-
-#if defined(__x86_64__) && defined(__GNUC__) && !defined(MATGPT_PORTABLE)
-#define MATGPT_X86_DISPATCH 1
-#include <immintrin.h>
-#endif
+#include "tensor/simd.h"
 
 namespace matgpt::kernels {
 
@@ -164,15 +160,7 @@ using TnPolicy = StreamPolicy<false, true, true, false>;
 // Column-chunk width of gemm_nt/gemm_tn, and of gemm_nt's accumulator tile.
 constexpr std::int64_t kBackwardNc = 512;
 
-// Hides a rounded product from the optimizer. g++ defaults to
-// -ffp-contract=fast and this region enables FMA, so a multiply followed by
-// an add would otherwise be fused into one vfmadd, skipping the product's
-// rounding. The empty asm emits no instruction.
-template <typename T>
-inline T rounded(T product) {
-  asm("" : "+x"(product));
-  return product;
-}
+using simd::rounded;
 
 template <bool Fma>
 inline __m256 madd(__m256 a, __m256 b, __m256 c) {
@@ -422,12 +410,6 @@ void gemm_stream_rows(const StreamArgs<BT>& s, std::int64_t lo,
 
 #pragma GCC pop_options
 
-bool use_avx2_fma() {
-  static const bool ok =
-      __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
-  return ok;
-}
-
 // fp32 row blocks supported as a primary tiling (the remainder always
 // decomposes into 8..1 blocks, which exist as templates anyway).
 int clamp_mr_f32(int mr) {
@@ -463,7 +445,7 @@ GemmVariant gemm_default_variant() { return GemmVariant{8, 512}; }
 
 bool gemm_simd_active() {
 #ifdef MATGPT_X86_DISPATCH
-  return use_avx2_fma();
+  return simd::avx2_fma();
 #else
   return false;
 #endif
@@ -478,7 +460,7 @@ void gemm_nn_variant(const float* a, const float* b, float* c, std::int64_t m,
                      std::int64_t n, std::int64_t k, bool accumulate,
                      [[maybe_unused]] const GemmVariant& variant) {
 #ifdef MATGPT_X86_DISPATCH
-  if (use_avx2_fma()) {
+  if (simd::avx2_fma()) {
     gemm_stream<NnPolicy>(StreamArgs<float>{a, k, b, nullptr, c, n, k,
                                             accumulate, clamp_nc(variant.nc)},
                           m, clamp_mr_f32(variant.mr));
@@ -496,7 +478,7 @@ void gemm_nn_bf16(const float* a, const std::uint16_t* b, float* c,
                   std::int64_t m, std::int64_t n, std::int64_t k,
                   [[maybe_unused]] const GemmVariant& variant) {
 #ifdef MATGPT_X86_DISPATCH
-  if (use_avx2_fma()) {
+  if (simd::avx2_fma()) {
     gemm_stream<NnPolicy>(StreamArgs<std::uint16_t>{a, k, b, nullptr, c, n, k,
                                                     false, clamp_nc(variant.nc)},
                           m, std::clamp(variant.mr, 1, 8));
@@ -512,7 +494,7 @@ void gemm_nn_int8(const float* a, const std::int8_t* b, const float* scale,
                   float* c, std::int64_t m, std::int64_t n, std::int64_t k,
                   [[maybe_unused]] const GemmVariant& variant) {
 #ifdef MATGPT_X86_DISPATCH
-  if (use_avx2_fma()) {
+  if (simd::avx2_fma()) {
     gemm_stream<NnPolicy>(StreamArgs<std::int8_t>{a, k, b, scale, c, n, k,
                                                   false, clamp_nc(variant.nc)},
                           m, std::clamp(variant.mr, 1, 8));
@@ -527,7 +509,7 @@ void gemm_nn_int8(const float* a, const std::int8_t* b, const float* scale,
 void gemm_nt(const float* a, const float* b, float* c, std::int64_t m,
              std::int64_t n, std::int64_t k, bool accumulate) {
 #ifdef MATGPT_X86_DISPATCH
-  if (use_avx2_fma()) {
+  if (simd::avx2_fma()) {
     // B [n, k] is packed once as B^T [k, n] so the streaming kernel reads
     // it in contiguous rows. The buffer is kept for this thread's next call.
     thread_local std::vector<float> packed;
@@ -562,7 +544,7 @@ void gemm_nt(const float* a, const float* b, float* c, std::int64_t m,
 void gemm_tn(const float* a, const float* b, float* c, std::int64_t m,
              std::int64_t n, std::int64_t k, bool accumulate) {
 #ifdef MATGPT_X86_DISPATCH
-  if (use_avx2_fma()) {
+  if (simd::avx2_fma()) {
     gemm_stream<TnPolicy>(
         StreamArgs<float>{a, m, b, nullptr, c, n, k, accumulate, kBackwardNc},
         m, gemm_default_variant().mr);
@@ -583,9 +565,75 @@ void gemm_tn(const float* a, const float* b, float* c, std::int64_t m,
   });
 }
 
-void softmax_row(float* row, std::int64_t n) {
+namespace {
+
+#ifdef MATGPT_X86_DISPATCH
+#pragma GCC push_options
+#pragma GCC target("avx2,fma")
+void add_scaled_avx2(float* dst, const float* src, float scale,
+                     std::int64_t n, bool overwrite) {
+  const __m256 sv = _mm256_set1_ps(scale);
+  const __m256 zero = _mm256_setzero_ps();
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 base = overwrite ? zero : _mm256_loadu_ps(dst + i);
+    _mm256_storeu_ps(dst + i, _mm256_add_ps(base, rounded(_mm256_mul_ps(
+                                                      sv, _mm256_loadu_ps(src + i)))));
+  }
+  for (; i < n; ++i) dst[i] = (overwrite ? 0.0f : dst[i]) + rounded(scale * src[i]);
+}
+#pragma GCC pop_options
+#endif  // MATGPT_X86_DISPATCH
+
+// The largest of a row's values, for softmax_row's and softmax_prob's
+// max-subtraction. The sequential std::max keeps row[0] when it is NaN and
+// otherwise skips NaNs, as does every lane of the SIMD version; the two
+// can differ only in which sign a zero maximum has, which no x - mx fed to
+// exp can tell apart (exp(+0) == exp(-0) == 1).
+float row_max_scalar(const float* row, std::int64_t n) {
   float mx = row[0];
   for (std::int64_t i = 1; i < n; ++i) mx = std::max(mx, row[i]);
+  return mx;
+}
+
+#ifdef MATGPT_X86_DISPATCH
+#pragma GCC push_options
+#pragma GCC target("avx2,fma")
+float row_max_avx2(const float* row, std::int64_t n) {
+  // _mm256_max_ps(x, m) is (x > m) ? x : m, std::max(m, x) lane by lane.
+  __m256 m = _mm256_set1_ps(row[0]);
+  std::int64_t i = 1;
+  for (; i + 8 <= n; i += 8) m = _mm256_max_ps(_mm256_loadu_ps(row + i), m);
+  alignas(32) float lanes[8];
+  _mm256_store_ps(lanes, m);
+  float mx = lanes[0];
+  for (int l = 1; l < 8; ++l) mx = std::max(mx, lanes[l]);
+  for (; i < n; ++i) mx = std::max(mx, row[i]);
+  return mx;
+}
+#pragma GCC pop_options
+#endif  // MATGPT_X86_DISPATCH
+
+float row_max(const float* row, std::int64_t n) {
+#ifdef MATGPT_X86_DISPATCH
+  if (simd::avx2_fma()) return row_max_avx2(row, n);
+#endif
+  return row_max_scalar(row, n);
+}
+}  // namespace
+
+void add_scaled(float* dst, const float* src, float scale, std::int64_t n,
+                bool overwrite) {
+#ifdef MATGPT_X86_DISPATCH
+  if (simd::avx2_fma()) return add_scaled_avx2(dst, src, scale, n, overwrite);
+#endif
+  for (std::int64_t i = 0; i < n; ++i) {
+    dst[i] = (overwrite ? 0.0f : dst[i]) + scale * src[i];
+  }
+}
+
+void softmax_row(float* row, std::int64_t n) {
+  const float mx = row_max(row, n);
   double denom = 0.0;
   for (std::int64_t i = 0; i < n; ++i) {
     row[i] = std::exp(row[i] - mx);
@@ -593,6 +641,13 @@ void softmax_row(float* row, std::int64_t n) {
   }
   const auto inv = static_cast<float>(1.0 / denom);
   for (std::int64_t i = 0; i < n; ++i) row[i] *= inv;
+}
+
+float softmax_prob(const float* row, std::int64_t n, std::int64_t t) {
+  const float mx = row_max(row, n);
+  double denom = 0.0;
+  for (std::int64_t i = 0; i < n; ++i) denom += std::exp(row[i] - mx);
+  return std::exp(row[t] - mx) * static_cast<float>(1.0 / denom);
 }
 
 double logsumexp_row(const float* row, std::int64_t n) {

@@ -125,8 +125,18 @@ void gemm_nt(const float* a, const float* b, float* c, std::int64_t m,
 void gemm_tn(const float* a, const float* b, float* c, std::int64_t m,
              std::int64_t n, std::int64_t k, bool accumulate);
 
+/// dst[i] = dst[i] + scale * src[i], a rounded multiply then a rounded add;
+/// with `overwrite`, dst[i] = 0 + scale * src[i] (the bytes of adding into
+/// zeros, without reading dst).
+void add_scaled(float* dst, const float* src, float scale, std::int64_t n,
+                bool overwrite);
+
 /// In-place numerically-stable softmax over a row of length n.
 void softmax_row(float* row, std::int64_t n);
+
+/// The value softmax_row would leave at row[t], without writing the row:
+/// the same float ops in the same order.
+float softmax_prob(const float* row, std::int64_t n, std::int64_t t);
 
 /// log(sum(exp(row))) with the max-subtraction trick.
 double logsumexp_row(const float* row, std::int64_t n);

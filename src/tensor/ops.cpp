@@ -1,10 +1,12 @@
 #include "tensor/ops.h"
 
 #include <cmath>
+#include <vector>
 
 #include "common/error.h"
 #include "tensor/gemm_tune.h"
 #include "tensor/kernels.h"
+#include "tensor/simd.h"
 
 namespace matgpt::ops {
 
@@ -29,16 +31,17 @@ void record_matmul_backward(Tape& tape, const Var& a, const Var& b,
                             const Var& result, std::int64_t m, std::int64_t n,
                             std::int64_t k) {
   tape.record([an = a.node(), bn = b.node(), rn = result.node(), m, n, k] {
+    // A first gradient is written by the kernel, not added to zeros:
+    // gemm_nt's and gemm_tn's results are the same bytes either way.
     const float* g = rn->grad.data();
+    bool accumulate = false;
     if (an->requires_grad) {
-      Tensor& ag = an->ensure_grad();
-      kernels::gemm_nt(g, bn->value.data(), ag.data(), m, k, n,
-                       /*accumulate=*/true);
+      Tensor& ag = an->grad_for_kernel(accumulate);
+      kernels::gemm_nt(g, bn->value.data(), ag.data(), m, k, n, accumulate);
     }
     if (bn->requires_grad) {
-      Tensor& bg = bn->ensure_grad();
-      kernels::gemm_tn(an->value.data(), g, bg.data(), k, n, m,
-                       /*accumulate=*/true);
+      Tensor& bg = bn->grad_for_kernel(accumulate);
+      kernels::gemm_tn(an->value.data(), g, bg.data(), k, n, m, accumulate);
     }
   });
 }
@@ -49,8 +52,13 @@ Var add(Tape& tape, const Var& a, const Var& b) {
   MGPT_CHECK(a.value().numel() == b.value().numel(),
              "add: shape mismatch " << a.value().shape_str() << " vs "
                                     << b.value().shape_str());
-  Tensor out = a.value().clone();
-  out.add_(b.value());
+  Tensor out = Tensor::uninitialized(a.value().shape());
+  {
+    float* o = out.data();
+    const float* pa = a.value().data();
+    const float* pb = b.value().data();
+    for (std::int64_t i = 0; i < out.numel(); ++i) o[i] = pa[i] + pb[i];
+  }
   Var result = tape.intermediate(std::move(out), any_requires_grad({&a, &b}));
   if (result.requires_grad()) {
     tape.record([an = a.node(), bn = b.node(), rn = result.node()] {
@@ -146,7 +154,7 @@ Var matmul(Tape& tape, const Var& a, const Var& b) {
   MGPT_CHECK(b.value().dim(0) == k,
              "matmul inner-dim mismatch: " << a.value().shape_str() << " x "
                                            << b.value().shape_str());
-  Tensor out({m, n});
+  Tensor out = Tensor::uninitialized({m, n});
   kernels::gemm_nn(a.value().data(), b.value().data(), out.data(), m, n, k,
                    /*accumulate=*/false);
   Var result = tape.intermediate(std::move(out), any_requires_grad({&a, &b}));
@@ -174,7 +182,7 @@ Var linear_matmul(Tape& tape, const Var& a, const Var& w,
        !(tape.recording() && needs_grad))
           ? qw
           : nullptr;
-  Tensor out({m, n});
+  Tensor out = Tensor::uninitialized({m, n});
   gemm_tune::GemmTuner::instance().gemm(a.value().data(), w.value().data(),
                                         use_qw, out.data(), m, n, k,
                                         /*accumulate=*/false);
@@ -202,7 +210,7 @@ Var embedding(Tape& tape, const Var& weight,
   const std::int64_t vocab = weight.value().dim(0);
   const std::int64_t cols = weight.value().dim(1);
   const auto n = static_cast<std::int64_t>(ids.size());
-  Tensor out({n, cols});
+  Tensor out = Tensor::uninitialized({n, cols});
   const float* w = weight.value().data();
   float* o = out.data();
   for (std::int64_t i = 0; i < n; ++i) {
@@ -235,7 +243,7 @@ Var gather_rows(Tape& tape, const Var& x, std::vector<std::int64_t> idx) {
   const std::int64_t rows = x.value().dim(0);
   const std::int64_t cols = x.value().dim(1);
   const auto n = static_cast<std::int64_t>(idx.size());
-  Tensor out({n, cols});
+  Tensor out = Tensor::uninitialized({n, cols});
   const float* src = x.value().data();
   float* o = out.data();
   for (std::int64_t i = 0; i < n; ++i) {
@@ -305,7 +313,7 @@ Var slice_rows(Tape& tape, const Var& x, std::int64_t begin,
              "slice_rows range [" << begin << ", " << end
                                   << ") out of bounds for " << rows
                                   << " rows");
-  Tensor out({end - begin, cols});
+  Tensor out = Tensor::uninitialized({end - begin, cols});
   const float* src = x.value().data();
   std::copy(src + begin * cols, src + end * cols, out.data());
   Var result = tape.intermediate(std::move(out), x.requires_grad());
@@ -327,7 +335,7 @@ Var concat_cols(Tape& tape, const Var& a, const Var& b) {
   MGPT_CHECK(b.value().dim(0) == rows, "concat_cols row-count mismatch");
   const std::int64_t ca = a.value().dim(1);
   const std::int64_t cb = b.value().dim(1);
-  Tensor out({rows, ca + cb});
+  Tensor out = Tensor::uninitialized({rows, ca + cb});
   const float* pa = a.value().data();
   const float* pb = b.value().data();
   float* o = out.data();
@@ -408,9 +416,9 @@ Var layer_norm(Tape& tape, const Var& x, const Var& gamma, const Var& beta,
   MGPT_CHECK(gamma.value().numel() == cols && beta.value().numel() == cols,
              "layer_norm parameter length must equal the feature dim");
   const std::int64_t rows = leading_rows(x.value());
-  Tensor out(x.value().shape());
-  Tensor xhat({rows, cols});
-  Tensor inv_std({rows});
+  Tensor out = Tensor::uninitialized(x.value().shape());
+  Tensor xhat = Tensor::uninitialized({rows, cols});
+  Tensor inv_std = Tensor::uninitialized({rows});
   const float* src = x.value().data();
   const float* gm = gamma.value().data();
   const float* bt = beta.value().data();
@@ -486,29 +494,251 @@ Var layer_norm(Tape& tape, const Var& x, const Var& gamma, const Var& beta,
   return result;
 }
 
+namespace {
+
+// Element-wise passes of RMSNorm and SwiGLU. Each scalar loop here is the
+// op's reference sequence; its AVX2 twin below replays it element for
+// element (see tensor/simd.h). Row reductions stay sequential scalar sums
+// in double.
+
+/// out[r] = the sequential double sum over c of term(r, c), for each row.
+/// Rows run four side by side: their add chains are independent, so this
+/// hides the add latency without changing any row's order of additions.
+template <class Term>
+void row_sums(std::int64_t rows, std::int64_t cols, double* out,
+              const Term& term) {
+  constexpr std::int64_t kGroup = 4;
+  std::int64_t r = 0;
+  for (; r + kGroup <= rows; r += kGroup) {
+    double acc[kGroup] = {};
+    for (std::int64_t c = 0; c < cols; ++c) {
+      for (std::int64_t j = 0; j < kGroup; ++j) acc[j] += term(r + j, c);
+    }
+    for (std::int64_t j = 0; j < kGroup; ++j) out[r + j] = acc[j];
+  }
+  for (; r < rows; ++r) {
+    double acc = 0.0;
+    for (std::int64_t c = 0; c < cols; ++c) acc += term(r, c);
+    out[r] = acc;
+  }
+}
+
+/// o[c] = g[c] * x[c] * inv
+void rms_scale_row_scalar(float* o, const float* g, const float* x, float inv,
+                          std::int64_t n) {
+  for (std::int64_t c = 0; c < n; ++c) o[c] = g[c] * x[c] * inv;
+}
+
+/// gg[c] += dy[c] * x[c] * inv
+void rms_gamma_grad_row_scalar(float* gg, const float* dy, const float* x,
+                               float inv, std::int64_t n) {
+  for (std::int64_t c = 0; c < n; ++c) gg[c] += dy[c] * x[c] * inv;
+}
+
+/// xg[c] += float(inv * (double(dy[c]) * g[c] - x[c] * coeff))
+void rms_input_grad_row_scalar(float* xg, const float* dy, const float* g,
+                               const float* x, double inv, double coeff,
+                               std::int64_t n) {
+  for (std::int64_t c = 0; c < n; ++c) {
+    const double dxh = static_cast<double>(dy[c]) * g[c];
+    xg[c] += static_cast<float>(inv * (dxh - x[c] * coeff));
+  }
+}
+
+/// out = silu(gate) * up, with silu(v) = v / (1 + exp(-v)); den (when not
+/// null) keeps each 1 + exp(-v) for the backward.
+void swiglu_fwd_scalar(float* out, float* den, const float* gate,
+                       const float* up, std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float dn = 1.0f + std::exp(-gate[i]);
+    if (den != nullptr) den[i] = dn;
+    out[i] = gate[i] / dn * up[i];
+  }
+}
+
+/// A backward's destination: a grad to add into, or (`add` false) a first
+/// grad to write as 0 + term, the bytes of adding into zeros.
+struct GradOut {
+  float* p = nullptr;
+  bool add = false;
+};
+
+GradOut grad_out(VarNode& node) {
+  GradOut out;
+  if (node.requires_grad) out.p = node.grad_for_kernel(out.add).data();
+  return out;
+}
+
+/// With s = 1 / den: gate_grad += (0 + dy * up) * s * (1 + v * (1 - s)),
+/// up_grad += dy * silu(v) — the sequences of silu's and mul's backward
+/// closures (silu's upstream grad is a fresh zero tensor plus dy * up).
+/// Either destination may be null.
+void swiglu_bwd_scalar(GradOut gate_grad, GradOut up_grad, const float* dy,
+                       const float* gate, const float* up, const float* den,
+                       std::int64_t n) {
+  for (std::int64_t i = 0; i < n; ++i) {
+    const float v = gate[i];
+    if (gate_grad.p != nullptr) {
+      const float s = 1.0f / den[i];
+      const float ds = 0.0f + dy[i] * up[i];
+      float& d = gate_grad.p[i];
+      d = (gate_grad.add ? d : 0.0f) + ds * (s * (1.0f + v * (1.0f - s)));
+    }
+    if (up_grad.p != nullptr) {
+      float& d = up_grad.p[i];
+      d = (up_grad.add ? d : 0.0f) + dy[i] * (v / den[i]);
+    }
+  }
+}
+
+#ifdef MATGPT_X86_DISPATCH
+#pragma GCC push_options
+#pragma GCC target("avx2,fma")
+
+using simd::rounded;
+
+void rms_scale_row_avx2(float* o, const float* g, const float* x, float inv,
+                        std::int64_t n) {
+  const __m256 iv = _mm256_set1_ps(inv);
+  std::int64_t c = 0;
+  for (; c + 8 <= n; c += 8) {
+    _mm256_storeu_ps(o + c, _mm256_mul_ps(_mm256_mul_ps(_mm256_loadu_ps(g + c),
+                                                        _mm256_loadu_ps(x + c)),
+                                          iv));
+  }
+  for (; c < n; ++c) o[c] = g[c] * x[c] * inv;
+}
+
+void rms_gamma_grad_row_avx2(float* gg, const float* dy, const float* x,
+                             float inv, std::int64_t n) {
+  const __m256 iv = _mm256_set1_ps(inv);
+  std::int64_t c = 0;
+  for (; c + 8 <= n; c += 8) {
+    const __m256 t = rounded(_mm256_mul_ps(
+        _mm256_mul_ps(_mm256_loadu_ps(dy + c), _mm256_loadu_ps(x + c)), iv));
+    _mm256_storeu_ps(gg + c, _mm256_add_ps(_mm256_loadu_ps(gg + c), t));
+  }
+  for (; c < n; ++c) gg[c] += rounded(dy[c] * x[c] * inv);
+}
+
+void rms_input_grad_row_avx2(float* xg, const float* dy, const float* g,
+                             const float* x, double inv, double coeff,
+                             std::int64_t n) {
+  const __m256d iv = _mm256_set1_pd(inv);
+  const __m256d cv = _mm256_set1_pd(coeff);
+  std::int64_t c = 0;
+  for (; c + 4 <= n; c += 4) {
+    const __m256d dxh = _mm256_mul_pd(_mm256_cvtps_pd(_mm_loadu_ps(dy + c)),
+                                      _mm256_cvtps_pd(_mm_loadu_ps(g + c)));
+    const __m256d t = rounded(
+        _mm256_mul_pd(_mm256_cvtps_pd(_mm_loadu_ps(x + c)), cv));
+    const __m128 u = _mm256_cvtpd_ps(_mm256_mul_pd(iv, _mm256_sub_pd(dxh, t)));
+    _mm_storeu_ps(xg + c, _mm_add_ps(_mm_loadu_ps(xg + c), u));
+  }
+  for (; c < n; ++c) {
+    const double dxh = static_cast<double>(dy[c]) * g[c];
+    xg[c] += static_cast<float>(inv * (dxh - rounded(x[c] * coeff)));
+  }
+}
+
+/// swiglu_fwd_scalar in blocks: the block's exps (scalar, as glibc
+/// computes them), then its divides and multiplies 8 lanes at a time.
+void swiglu_fwd_avx2(float* out, float* den, const float* gate,
+                     const float* up, std::int64_t n) {
+  constexpr std::int64_t kBlock = 64;
+  float dn[kBlock];
+  for (std::int64_t i0 = 0; i0 < n; i0 += kBlock) {
+    const std::int64_t w = std::min(kBlock, n - i0);
+    float* d = den != nullptr ? den + i0 : dn;
+    for (std::int64_t i = 0; i < w; ++i) d[i] = 1.0f + std::exp(-gate[i0 + i]);
+    std::int64_t i = 0;
+    for (; i + 8 <= w; i += 8) {
+      const __m256 y = _mm256_div_ps(_mm256_loadu_ps(gate + i0 + i),
+                                     _mm256_loadu_ps(d + i));
+      _mm256_storeu_ps(out + i0 + i,
+                       _mm256_mul_ps(y, _mm256_loadu_ps(up + i0 + i)));
+    }
+    for (; i < w; ++i) out[i0 + i] = gate[i0 + i] / d[i] * up[i0 + i];
+  }
+}
+
+void swiglu_bwd_avx2(GradOut gate_grad, GradOut up_grad, const float* dy,
+                     const float* gate, const float* up, const float* den,
+                     std::int64_t n) {
+  const __m256 one = _mm256_set1_ps(1.0f);
+  const __m256 zero = _mm256_setzero_ps();
+  const auto base = [&](const GradOut& o, std::int64_t i) {
+    return o.add ? _mm256_loadu_ps(o.p + i) : zero;
+  };
+  std::int64_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 v = _mm256_loadu_ps(gate + i);
+    const __m256 dn = _mm256_loadu_ps(den + i);
+    const __m256 g = _mm256_loadu_ps(dy + i);
+    if (gate_grad.p != nullptr) {
+      const __m256 s = _mm256_div_ps(one, dn);
+      const __m256 ds =
+          _mm256_add_ps(zero, rounded(_mm256_mul_ps(g, _mm256_loadu_ps(up + i))));
+      const __m256 f = _mm256_mul_ps(
+          s, _mm256_add_ps(one, rounded(_mm256_mul_ps(v, _mm256_sub_ps(one, s)))));
+      _mm256_storeu_ps(gate_grad.p + i, _mm256_add_ps(base(gate_grad, i),
+                                                      rounded(_mm256_mul_ps(ds, f))));
+    }
+    if (up_grad.p != nullptr) {
+      const __m256 t = rounded(_mm256_mul_ps(g, _mm256_div_ps(v, dn)));
+      _mm256_storeu_ps(up_grad.p + i, _mm256_add_ps(base(up_grad, i), t));
+    }
+  }
+  for (; i < n; ++i) {
+    const float v = gate[i];
+    if (gate_grad.p != nullptr) {
+      const float s = 1.0f / den[i];
+      const float ds = 0.0f + rounded(dy[i] * up[i]);
+      float& d = gate_grad.p[i];
+      d = (gate_grad.add ? d : 0.0f) +
+          rounded(ds * (s * (1.0f + rounded(v * (1.0f - s)))));
+    }
+    if (up_grad.p != nullptr) {
+      float& d = up_grad.p[i];
+      d = (up_grad.add ? d : 0.0f) + rounded(dy[i] * (v / den[i]));
+    }
+  }
+}
+
+#pragma GCC pop_options
+#endif  // MATGPT_X86_DISPATCH
+
+#ifdef MATGPT_X86_DISPATCH
+#define MATGPT_SIMD_OR_SCALAR(fn, ...) \
+  (simd::avx2_fma() ? fn##_avx2(__VA_ARGS__) : fn##_scalar(__VA_ARGS__))
+#else
+#define MATGPT_SIMD_OR_SCALAR(fn, ...) fn##_scalar(__VA_ARGS__)
+#endif
+
+}  // namespace
+
 Var rms_norm(Tape& tape, const Var& x, const Var& gamma, float eps) {
   const std::int64_t cols = x.value().dim(-1);
   MGPT_CHECK(gamma.value().numel() == cols,
              "rms_norm parameter length must equal the feature dim");
   const std::int64_t rows = leading_rows(x.value());
-  Tensor out(x.value().shape());
-  Tensor inv_rms({rows});
+  Tensor out = Tensor::uninitialized(x.value().shape());
+  Tensor inv_rms = Tensor::uninitialized({rows});
   const float* src = x.value().data();
   const float* gm = gamma.value().data();
   float* o = out.data();
   float* ir = inv_rms.data();
+  std::vector<double> sums(static_cast<std::size_t>(rows));
+  row_sums(rows, cols, sums.data(), [&](std::int64_t r, std::int64_t c) {
+    return static_cast<double>(src[r * cols + c]) * src[r * cols + c];
+  });
   for (std::int64_t r = 0; r < rows; ++r) {
-    const float* row = src + r * cols;
-    double ms = 0.0;
-    for (std::int64_t c = 0; c < cols; ++c) {
-      ms += static_cast<double>(row[c]) * row[c];
-    }
-    ms = ms / static_cast<double>(cols) + eps;
+    const double ms = sums[static_cast<std::size_t>(r)] /
+                          static_cast<double>(cols) + eps;
     const auto inv = static_cast<float>(1.0 / std::sqrt(ms));
     ir[r] = inv;
-    for (std::int64_t c = 0; c < cols; ++c) {
-      o[r * cols + c] = gm[c] * row[c] * inv;
-    }
+    MATGPT_SIMD_OR_SCALAR(rms_scale_row, o + r * cols, gm, src + r * cols, inv,
+                          cols);
   }
   Var result =
       tape.intermediate(std::move(out), any_requires_grad({&x, &gamma}));
@@ -520,33 +750,52 @@ Var rms_norm(Tape& tape, const Var& x, const Var& gamma, float eps) {
       const float* gm = gn->value.data();
       const float* ir = inv_rms.data();
       if (gn->requires_grad) {
-        Tensor& gg = gn->ensure_grad();
-        float* ggd = gg.data();
+        float* ggd = gn->ensure_grad().data();
         for (std::int64_t r = 0; r < rows; ++r) {
-          for (std::int64_t c = 0; c < cols; ++c) {
-            ggd[c] += g[r * cols + c] * src[r * cols + c] * ir[r];
-          }
+          MATGPT_SIMD_OR_SCALAR(rms_gamma_grad_row, ggd, g + r * cols,
+                                src + r * cols, ir[r], cols);
         }
       }
       if (xn->requires_grad) {
-        Tensor& xg = xn->ensure_grad();
-        float* xgd = xg.data();
+        float* xgd = xn->ensure_grad().data();
+        std::vector<double> dots(static_cast<std::size_t>(rows));
+        row_sums(rows, cols, dots.data(), [&](std::int64_t r, std::int64_t c) {
+          return static_cast<double>(g[r * cols + c]) * gm[c] *
+                 src[r * cols + c];
+        });
         for (std::int64_t r = 0; r < rows; ++r) {
-          double dot_dxhat_x = 0.0;
-          for (std::int64_t c = 0; c < cols; ++c) {
-            dot_dxhat_x += static_cast<double>(g[r * cols + c]) * gm[c] *
-                           src[r * cols + c];
-          }
-          const double coeff = dot_dxhat_x * ir[r] * ir[r] /
-                               static_cast<double>(cols);
-          for (std::int64_t c = 0; c < cols; ++c) {
-            const double dxh =
-                static_cast<double>(g[r * cols + c]) * gm[c];
-            xgd[r * cols + c] += static_cast<float>(
-                ir[r] * (dxh - src[r * cols + c] * coeff));
-          }
+          const double coeff = dots[static_cast<std::size_t>(r)] * ir[r] *
+                               ir[r] / static_cast<double>(cols);
+          MATGPT_SIMD_OR_SCALAR(rms_input_grad_row, xgd + r * cols,
+                                g + r * cols, gm, src + r * cols,
+                                static_cast<double>(ir[r]), coeff, cols);
         }
       }
+    });
+  }
+  return result;
+}
+
+Var swiglu(Tape& tape, const Var& gate, const Var& up) {
+  MGPT_CHECK(gate.value().numel() == up.value().numel(),
+             "swiglu: shape mismatch " << gate.value().shape_str() << " vs "
+                                       << up.value().shape_str());
+  const std::int64_t n = gate.value().numel();
+  const bool needs_grad =
+      tape.recording() && any_requires_grad({&gate, &up});
+  Tensor out = Tensor::uninitialized(gate.value().shape());
+  // 1 + exp(-gate), kept for the backward so it needs no exp of its own.
+  Tensor den = needs_grad ? Tensor::uninitialized({n}) : Tensor();
+  MATGPT_SIMD_OR_SCALAR(swiglu_fwd, out.data(),
+                        needs_grad ? den.data() : nullptr,
+                        gate.value().data(), up.value().data(), n);
+  Var result = tape.intermediate(std::move(out), needs_grad);
+  if (result.requires_grad()) {
+    tape.record([gn = gate.node(), un = up.node(), rn = result.node(),
+                 den = std::move(den), n] {
+      MATGPT_SIMD_OR_SCALAR(swiglu_bwd, grad_out(*gn), grad_out(*un),
+                            rn->grad.data(), gn->value.data(), un->value.data(),
+                            den.data(), n);
     });
   }
   return result;
@@ -559,7 +808,7 @@ namespace {
 /// saved input (and, for cheapness, the saved output).
 template <typename Fwd, typename Bwd>
 Var unary_elementwise(Tape& tape, const Var& x, Fwd fwd, Bwd bwd_factor) {
-  Tensor out(x.value().shape());
+  Tensor out = Tensor::uninitialized(x.value().shape());
   const float* src = x.value().data();
   float* o = out.data();
   const std::int64_t n = out.numel();
@@ -632,8 +881,8 @@ Var dropout(Tape& tape, const Var& x, float p, Rng& rng, bool training) {
   MGPT_CHECK(p >= 0.0f && p < 1.0f, "dropout p must be in [0, 1)");
   if (!training || p == 0.0f) return x;
   const float keep = 1.0f - p;
-  Tensor mask(x.value().shape());
-  Tensor out(x.value().shape());
+  Tensor mask = Tensor::uninitialized(x.value().shape());
+  Tensor out = Tensor::uninitialized(x.value().shape());
   const float* src = x.value().data();
   float* m = mask.data();
   float* o = out.data();
@@ -664,8 +913,26 @@ Var cross_entropy(Tape& tape, const Var& logits,
   const std::int64_t v = logits.value().dim(1);
   MGPT_CHECK(static_cast<std::int64_t>(targets.size()) == n,
              "cross_entropy target count mismatch");
-  Tensor probs({n, v});
   const float* z = logits.value().data();
+  if (!(tape.recording() && logits.requires_grad())) {
+    // No backward: only each target's probability, the same bytes the
+    // probs rows below would hold, and no [N, V] tensor.
+    double loss = 0.0;
+    std::int64_t valid = 0;
+    for (std::int64_t r = 0; r < n; ++r) {
+      const std::int32_t t = targets[static_cast<std::size_t>(r)];
+      if (t == ignore_index) continue;
+      MGPT_CHECK(t >= 0 && t < v, "cross_entropy target out of range");
+      const float p = kernels::softmax_prob(z + r * v, v, t);
+      loss -= std::log(std::max(1e-30, static_cast<double>(p)));
+      ++valid;
+    }
+    MGPT_CHECK(valid > 0, "cross_entropy: no valid (non-ignored) targets");
+    loss /= static_cast<double>(valid);
+    return tape.intermediate(
+        Tensor::from_data({1}, {static_cast<float>(loss)}), false);
+  }
+  Tensor probs = Tensor::uninitialized({n, v});
   float* p = probs.data();
   double loss = 0.0;
   std::int64_t valid = 0;
@@ -687,17 +954,28 @@ Var cross_entropy(Tape& tape, const Var& logits,
     tape.record([ln = logits.node(), rn = result.node(),
                  probs = std::move(probs), tgt = std::move(tgt), n, v, valid,
                  ignore_index] {
-      Tensor& lg = ln->ensure_grad();
+      // lg += gscale * (p - delta), with a first gradient written as
+      // 0 + ... instead of added to a zero-filled tensor.
+      bool accumulate = false;
+      float* lgd = ln->grad_for_kernel(accumulate).data();
       const float gscale = rn->grad[0] / static_cast<float>(valid);
       const float* p = probs.data();
-      float* lgd = lg.data();
       for (std::int64_t r = 0; r < n; ++r) {
         const std::int32_t t = tgt[static_cast<std::size_t>(r)];
-        if (t == ignore_index) continue;
-        for (std::int64_t c = 0; c < v; ++c) {
-          const float delta = (c == t) ? 1.0f : 0.0f;
-          lgd[r * v + c] += gscale * (p[r * v + c] - delta);
+        float* row = lgd + r * v;
+        if (t == ignore_index) {
+          if (!accumulate) std::fill(row, row + v, 0.0f);
+          continue;
         }
+        const float* prow = p + r * v;
+        const float base_t = accumulate ? row[t] : 0.0f;
+        // Off the target delta is 0, and p - 0.0f is p.
+        if (accumulate) {
+          for (std::int64_t c = 0; c < v; ++c) row[c] += gscale * prow[c];
+        } else {
+          for (std::int64_t c = 0; c < v; ++c) row[c] = 0.0f + gscale * prow[c];
+        }
+        row[t] = base_t + gscale * (prow[t] - 1.0f);
       }
     });
   }

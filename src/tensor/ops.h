@@ -70,8 +70,12 @@ Var layer_norm(Tape& tape, const Var& x, const Var& gamma, const Var& beta,
 Var rms_norm(Tape& tape, const Var& x, const Var& gamma, float eps = 1e-6f);
 /// GELU, tanh approximation (as used by GPT-NeoX MLPs).
 Var gelu(Tape& tape, const Var& x);
-/// SiLU / swish (as used inside LLaMA's SwiGLU MLP).
+/// SiLU / swish.
 Var silu(Tape& tape, const Var& x);
+/// silu(gate) * up, LLaMA's SwiGLU gating, as one op: the same bytes as
+/// mul(silu(gate), up), forward and backward, with one exp per element for
+/// both passes and one tape node instead of two.
+Var swiglu(Tape& tape, const Var& gate, const Var& up);
 Var relu(Tape& tape, const Var& x);
 Var sigmoid(Tape& tape, const Var& x);
 Var tanh_act(Tape& tape, const Var& x);

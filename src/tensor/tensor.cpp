@@ -2,10 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdlib>
+#include <limits>
+#include <new>
 #include <numeric>
 #include <sstream>
 
 #include "common/error.h"
+#include "tensor/kernels.h"
 
 namespace matgpt {
 
@@ -27,19 +31,41 @@ void MemoryTracker::on_free(std::size_t bytes) { current_.fetch_sub(bytes); }
 void MemoryTracker::reset_peak() { peak_.store(current_.load()); }
 
 struct Tensor::Storage {
-  explicit Storage(std::size_t n) : values(n, 0.0f) {
+  enum class Init { kZero, kNone };
+
+  Storage(std::size_t n, Init init)
+      : raw(static_cast<float*>(init == Init::kZero
+                                    ? std::calloc(std::max<std::size_t>(n, 1),
+                                                  sizeof(float))
+                                    : std::malloc(std::max<std::size_t>(n, 1) *
+                                                  sizeof(float)))),
+        values(raw.get()),
+        size(n) {
+    if (raw == nullptr) throw std::bad_alloc();
+#ifndef NDEBUG
+    if (init == Init::kNone) {
+      std::fill(values, values + n, std::numeric_limits<float>::quiet_NaN());
+    }
+#endif
     MemoryTracker::instance().on_alloc(n * sizeof(float));
   }
-  explicit Storage(std::vector<float> v) : values(std::move(v)) {
-    MemoryTracker::instance().on_alloc(values.size() * sizeof(float));
+  explicit Storage(std::vector<float> v)
+      : owned(std::move(v)), values(owned.data()), size(owned.size()) {
+    MemoryTracker::instance().on_alloc(size * sizeof(float));
   }
-  ~Storage() {
-    MemoryTracker::instance().on_free(values.size() * sizeof(float));
-  }
+  ~Storage() { MemoryTracker::instance().on_free(size * sizeof(float)); }
   Storage(const Storage&) = delete;
   Storage& operator=(const Storage&) = delete;
 
-  std::vector<float> values;
+  struct Free {
+    void operator()(float* p) const { std::free(p); }
+  };
+  // Exactly one of the two owns the elements: `raw` for sized
+  // allocations, `owned` for a vector moved in by from_data.
+  std::unique_ptr<float, Free> raw;
+  std::vector<float> owned;
+  float* values;
+  std::size_t size;
 };
 
 namespace {
@@ -55,15 +81,25 @@ std::int64_t shape_numel(const std::vector<std::int64_t>& shape) {
 
 Tensor::Tensor(std::vector<std::int64_t> shape)
     : shape_(std::move(shape)), numel_(shape_numel(shape_)) {
-  storage_ = std::make_shared<Storage>(static_cast<std::size_t>(numel_));
+  storage_ = std::make_shared<Storage>(static_cast<std::size_t>(numel_),
+                                       Storage::Init::kZero);
 }
 
 Tensor Tensor::zeros(std::vector<std::int64_t> shape) {
   return Tensor(std::move(shape));
 }
 
+Tensor Tensor::uninitialized(std::vector<std::int64_t> shape) {
+  Tensor t;
+  t.numel_ = shape_numel(shape);
+  t.shape_ = std::move(shape);
+  t.storage_ = std::make_shared<Storage>(static_cast<std::size_t>(t.numel_),
+                                         Storage::Init::kNone);
+  return t;
+}
+
 Tensor Tensor::full(std::vector<std::int64_t> shape, float value) {
-  Tensor t(std::move(shape));
+  Tensor t = uninitialized(std::move(shape));
   t.fill_(value);
   return t;
 }
@@ -83,8 +119,8 @@ Tensor Tensor::from_data(std::vector<std::int64_t> shape,
 
 Tensor Tensor::randn(std::vector<std::int64_t> shape, Rng& rng, float mean,
                      float stddev) {
-  Tensor t(std::move(shape));
-  for (float& v : t.storage_->values) {
+  Tensor t = uninitialized(std::move(shape));
+  for (float& v : t.span()) {
     v = static_cast<float>(rng.normal(mean, stddev));
   }
   return t;
@@ -92,8 +128,8 @@ Tensor Tensor::randn(std::vector<std::int64_t> shape, Rng& rng, float mean,
 
 Tensor Tensor::uniform(std::vector<std::int64_t> shape, Rng& rng, float lo,
                        float hi) {
-  Tensor t(std::move(shape));
-  for (float& v : t.storage_->values) {
+  Tensor t = uninitialized(std::move(shape));
+  for (float& v : t.span()) {
     v = static_cast<float>(rng.uniform(lo, hi));
   }
   return t;
@@ -111,12 +147,12 @@ void Tensor::check_defined() const {
 
 float* Tensor::data() {
   check_defined();
-  return storage_->values.data();
+  return storage_->values;
 }
 
 const float* Tensor::data() const {
   check_defined();
-  return storage_->values.data();
+  return storage_->values;
 }
 
 std::span<float> Tensor::span() {
@@ -206,15 +242,16 @@ Tensor Tensor::prefix_view(std::vector<std::int64_t> new_shape) const {
 
 Tensor Tensor::clone() const {
   check_defined();
-  return from_data(shape_,
-                   std::vector<float>(data(), data() + numel_));
+  Tensor out = uninitialized(shape_);
+  std::copy(data(), data() + numel_, out.data());
+  return out;
 }
 
 Tensor Tensor::transposed_2d() const {
   MGPT_CHECK(ndim() == 2, "transposed_2d requires a rank-2 tensor");
   const std::int64_t rows = shape_[0];
   const std::int64_t cols = shape_[1];
-  Tensor out({cols, rows});
+  Tensor out = uninitialized({cols, rows});
   const float* src = data();
   float* dst = out.data();
   for (std::int64_t i = 0; i < rows; ++i) {
@@ -236,9 +273,8 @@ Tensor& Tensor::add_(const Tensor& other, float scale) {
   MGPT_CHECK(other.numel_ == numel_,
              "add_: numel mismatch " << shape_str() << " vs "
                                      << other.shape_str());
-  float* dst = data();
-  const float* src = other.data();
-  for (std::int64_t i = 0; i < numel_; ++i) dst[i] += scale * src[i];
+  kernels::add_scaled(data(), other.data(), scale, numel_,
+                      /*overwrite=*/false);
   return *this;
 }
 

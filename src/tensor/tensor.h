@@ -47,6 +47,10 @@ class Tensor {
   explicit Tensor(std::vector<std::int64_t> shape);
 
   static Tensor zeros(std::vector<std::int64_t> shape);
+  /// Tensor whose elements the caller overwrites in full before reading
+  /// any: no zero-fill. Debug builds (!NDEBUG) fill it with quiet NaN so a
+  /// missed element shows up in the first result that reads it.
+  static Tensor uninitialized(std::vector<std::int64_t> shape);
   static Tensor full(std::vector<std::int64_t> shape, float value);
   static Tensor from_data(std::vector<std::int64_t> shape,
                           std::vector<float> values);

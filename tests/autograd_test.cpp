@@ -5,9 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <tuple>
 
 #include "common/rng.h"
 #include "grad_check.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 
 namespace matgpt {
@@ -158,6 +162,25 @@ TEST_F(OpGradients, RmsNorm) {
   const Tensor w = Tensor::randn({3, 8}, rng_);
   check_gradients(leaves, [&](Tape& tape) {
     return weighted_sum(tape, ops::rms_norm(tape, leaves[0], leaves[1]), w);
+  });
+}
+
+// 37 columns: full 8-float and 4-double vector blocks plus scalar tails.
+TEST_F(OpGradients, RmsNormVectorTails) {
+  Tape t0;
+  std::vector<Var> leaves{make_leaf(t0, {3, 37}), make_leaf(t0, {37})};
+  const Tensor w = Tensor::randn({3, 37}, rng_);
+  check_gradients(leaves, [&](Tape& tape) {
+    return weighted_sum(tape, ops::rms_norm(tape, leaves[0], leaves[1]), w);
+  });
+}
+
+TEST_F(OpGradients, SwiGlu) {
+  Tape t0;
+  std::vector<Var> leaves{make_leaf(t0, {3, 11}), make_leaf(t0, {3, 11})};
+  const Tensor w = Tensor::randn({3, 11}, rng_);
+  check_gradients(leaves, [&](Tape& tape) {
+    return weighted_sum(tape, ops::swiglu(tape, leaves[0], leaves[1]), w);
   });
 }
 
@@ -410,6 +433,384 @@ TEST(Dropout, IdentityWhenNotTraining) {
   Var x = tape.leaf(Tensor::full({10}, 2.0f), true);
   Var y = ops::dropout(tape, x, 0.5f, rng, /*training=*/false);
   EXPECT_EQ(y.node().get(), x.node().get());
+}
+
+// ---- byte identity of the SIMD paths ----------------------------------------
+//
+// Each fused or vectorized op must produce exactly the bytes of the scalar
+// loops it replaced. The references below are those loops, copied here so a
+// change to the library cannot move both sides at once.
+
+bool same_bytes(const Tensor& a, const Tensor& b) {
+  return a.numel() == b.numel() &&
+         std::memcmp(a.data(), b.data(), sizeof(float) * a.numel()) == 0;
+}
+
+/// Inputs with the values that make rounding and special cases show:
+/// normal draws plus zeros of both signs, large magnitudes (exp overflow
+/// and underflow) and tiny ones.
+Tensor edgy(std::vector<std::int64_t> shape, Rng& rng, float stddev = 1.0f) {
+  Tensor t = Tensor::randn(std::move(shape), rng, 0.0f, stddev);
+  const float specials[] = {0.0f, -0.0f, 95.0f, -95.0f, 1e-30f, -3e-8f};
+  for (std::int64_t i = 0; i < t.numel(); i += 7) {
+    t[i] = specials[(i / 7) % 6];
+  }
+  return t;
+}
+
+TEST(SimdIdentity, SwiGluMatchesSiluTimesMul) {
+  Rng rng(21);
+  for (std::int64_t n : {1, 8, 37, 64, 203}) {
+    const Tensor gate = edgy({n}, rng, 3.0f);
+    const Tensor up = edgy({n}, rng);
+    Var g = make_var(gate.clone(), true);
+    Var u = make_var(up.clone(), true);
+    // The reference is silu then mul, forward and backward: silu's grad is a
+    // fresh zero tensor; the leaves' grads start at zero, and the second
+    // backward adds into them. Each pass has its own upstream gradient, so
+    // the second one adds a different term (adding a value to itself gives
+    // the same bytes with or without a fused multiply-add).
+    Tensor ref_out({n}), ref_gg({n}), ref_ug({n});
+    for (int pass = 0; pass < 2; ++pass) {
+      // weighted_sum(out, w) sends exactly w back to out.
+      const Tensor w = Tensor::randn(gate.shape(), rng);
+      Tape tape;
+      Var out = ops::swiglu(tape, g, u);
+      tape.backward(weighted_sum(tape, out, w));
+      for (std::int64_t i = 0; i < n; ++i) {
+        const float v = gate[i];
+        const float y = v / (1.0f + std::exp(-v));
+        ref_out[i] = y * up[i];
+        float sg = 0.0f;
+        sg += w[i] * up[i];
+        ref_ug[i] += w[i] * y;
+        const float s = 1.0f / (1.0f + std::exp(-v));
+        ref_gg[i] += sg * (s * (1.0f + v * (1.0f - s)));
+      }
+      EXPECT_TRUE(same_bytes(out.value(), ref_out)) << "forward n=" << n;
+      EXPECT_TRUE(same_bytes(g.grad(), ref_gg))
+          << "gate grad n=" << n << " pass " << pass;
+      EXPECT_TRUE(same_bytes(u.grad(), ref_ug))
+          << "up grad n=" << n << " pass " << pass;
+    }
+
+    Tape eval;
+    NoGradGuard guard(eval);
+    EXPECT_TRUE(same_bytes(
+        ops::swiglu(eval, eval.leaf(gate.clone(), false),
+                    eval.leaf(up.clone(), false)).value(),
+        ref_out))
+        << "no-grad forward n=" << n;
+  }
+}
+
+TEST(SimdIdentity, CrossEntropyBackwardMatchesReferenceLoop) {
+  Rng rng(24);
+  const std::int64_t n = 5;
+  const std::int64_t v = 37;
+  const Tensor logits = edgy({n, v}, rng, 4.0f);
+  const std::vector<std::int32_t> targets{3, -1, 0, 36, 17};
+  Var z = make_var(logits.clone(), true);
+  Tensor ref({n, v});
+  for (int pass = 0; pass < 2; ++pass) {
+    Tape tape;
+    Var loss = ops::cross_entropy(tape, z, targets);
+    tape.backward(loss);
+    const float gscale = 1.0f / 4.0f;  // upstream 1, four valid rows
+    for (std::int64_t r = 0; r < n; ++r) {
+      const std::int32_t t = targets[static_cast<std::size_t>(r)];
+      if (t == -1) continue;
+      std::vector<float> p(logits.data() + r * v, logits.data() + (r + 1) * v);
+      kernels::softmax_row(p.data(), v);
+      for (std::int64_t c = 0; c < v; ++c) {
+        const float delta = (c == t) ? 1.0f : 0.0f;
+        ref[r * v + c] += gscale * (p[static_cast<std::size_t>(c)] - delta);
+      }
+    }
+    EXPECT_TRUE(same_bytes(z.grad(), ref)) << "pass " << pass;
+  }
+}
+
+TEST(SimdIdentity, RmsNormMatchesScalarLoops) {
+  Rng rng(22);
+  for (std::int64_t cols : {1, 5, 8, 37, 64}) {
+    const std::int64_t rows = 5;
+    Tensor x = edgy({rows, cols}, rng);
+    Tensor gamma = Tensor::randn({cols}, rng, 1.0f, 0.3f);
+    Tensor w = Tensor::randn(x.shape(), rng);
+    if (cols >= 4) {
+      // Row 0's backward dot product has two terms of ±2^54 * gamma[0]
+      // that cancel, so its value depends on the order of its additions;
+      // w[3] = 0 passes that value straight into x's grad at column 3.
+      const float big = 134217728.0f;  // 2^27
+      x[0] = big;
+      x[1] = big;
+      gamma[1] = gamma[0];
+      w[0] = big;
+      w[1] = -big;
+      w[3] = 0.0f;
+    }
+    const float eps = 1e-6f;
+    Tape tape;
+    Var xv = tape.leaf(x.clone(), true);
+    Var gv = tape.leaf(gamma.clone(), true);
+    Var out = ops::rms_norm(tape, xv, gv, eps);
+    tape.backward(weighted_sum(tape, out, w));
+
+    Tensor ref_out({rows, cols}), ref_xg({rows, cols}), ref_gg({cols});
+    std::vector<float> ir(static_cast<std::size_t>(rows));
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const float* row = x.data() + r * cols;
+      double ms = 0.0;
+      for (std::int64_t c = 0; c < cols; ++c) {
+        ms += static_cast<double>(row[c]) * row[c];
+      }
+      ms = ms / static_cast<double>(cols) + eps;
+      const auto inv = static_cast<float>(1.0 / std::sqrt(ms));
+      ir[static_cast<std::size_t>(r)] = inv;
+      for (std::int64_t c = 0; c < cols; ++c) {
+        ref_out[r * cols + c] = gamma[c] * row[c] * inv;
+      }
+    }
+    const float* g = w.data();
+    const float* src = x.data();
+    for (std::int64_t r = 0; r < rows; ++r) {
+      for (std::int64_t c = 0; c < cols; ++c) {
+        ref_gg[c] += g[r * cols + c] * src[r * cols + c] *
+                     ir[static_cast<std::size_t>(r)];
+      }
+    }
+    for (std::int64_t r = 0; r < rows; ++r) {
+      const float irr = ir[static_cast<std::size_t>(r)];
+      double dot = 0.0;
+      for (std::int64_t c = 0; c < cols; ++c) {
+        dot += static_cast<double>(g[r * cols + c]) * gamma[c] *
+               src[r * cols + c];
+      }
+      const double coeff = dot * irr * irr / static_cast<double>(cols);
+      for (std::int64_t c = 0; c < cols; ++c) {
+        const double dxh = static_cast<double>(g[r * cols + c]) * gamma[c];
+        ref_xg[r * cols + c] += static_cast<float>(
+            irr * (dxh - src[r * cols + c] * coeff));
+      }
+    }
+    EXPECT_TRUE(same_bytes(out.value(), ref_out)) << "forward cols=" << cols;
+    EXPECT_TRUE(same_bytes(xv.grad(), ref_xg)) << "x grad cols=" << cols;
+    EXPECT_TRUE(same_bytes(gv.grad(), ref_gg)) << "gamma grad cols=" << cols;
+  }
+}
+
+// The reference attention dot product: with AVX2+FMA, eight FMA
+// lanes reduced (0+4 .. 3+7), then (0+2, 1+3), then (0+1), then a scalar
+// fmaf tail; without it, a sequential sum.
+float ref_dot(const float* a, const float* b, std::int64_t d) {
+  if (!kernels::gemm_simd_active()) {
+    float acc = 0.0f;
+    for (std::int64_t i = 0; i < d; ++i) acc += a[i] * b[i];
+    return acc;
+  }
+  float lane[8] = {};
+  std::int64_t i = 0;
+  for (; i + 8 <= d; i += 8) {
+    for (int j = 0; j < 8; ++j) lane[j] = std::fmaf(a[i + j], b[i + j], lane[j]);
+  }
+  float q[4];
+  for (int j = 0; j < 4; ++j) q[j] = lane[j] + lane[j + 4];
+  const float r0 = q[0] + q[2];
+  const float r1 = q[1] + q[3];
+  float out = r0 + r1;
+  for (; i < d; ++i) out = std::fmaf(a[i], b[i], out);
+  return out;
+}
+
+struct AttnRef {
+  Tensor out, qg, kg, vg;
+};
+
+/// The reference flash forward (online softmax per query row) and
+/// recomputation backward, loop for loop. q is [B, T, H, D]; k and v are
+/// [B, Tk, Hkv, D]; dy is the gradient arriving at the output.
+AttnRef ref_flash(const Tensor& q, const Tensor& k, const Tensor& v,
+                  const Tensor& dy, bool causal) {
+  const std::int64_t B = q.dim(0), T = q.dim(1), H = q.dim(2), D = q.dim(3);
+  const std::int64_t TK = k.dim(1), HKV = k.dim(2);
+  const std::int64_t group = H / HKV;
+  const float scl = 1.0f / std::sqrt(static_cast<float>(D));
+  const auto qoff = [&](std::int64_t b, std::int64_t t, std::int64_t h) {
+    return ((b * T + t) * H + h) * D;
+  };
+  const auto koff = [&](std::int64_t b, std::int64_t t, std::int64_t h) {
+    return ((b * TK + t) * HKV + h) * D;
+  };
+  AttnRef r{Tensor(q.shape()), Tensor(q.shape()), Tensor(k.shape()),
+            Tensor(v.shape())};
+  std::vector<float> lse(static_cast<std::size_t>(B * H * T));
+  std::vector<float> acc(static_cast<std::size_t>(D));
+  for (std::int64_t b = 0; b < B; ++b) {
+    for (std::int64_t h = 0; h < H; ++h) {
+      const std::int64_t hkv = h / group;
+      for (std::int64_t tq = 0; tq < T; ++tq) {
+        const std::int64_t limit = causal ? tq + 1 : TK;
+        const float* qv = q.data() + qoff(b, tq, h);
+        float m = -std::numeric_limits<float>::infinity();
+        double l = 0.0;
+        std::fill(acc.begin(), acc.end(), 0.0f);
+        for (std::int64_t tk = 0; tk < limit; ++tk) {
+          const float sc = scl * ref_dot(qv, k.data() + koff(b, tk, hkv), D);
+          if (sc > m) {
+            const float rescale = std::exp(m - sc);
+            for (float& a : acc) a *= rescale;
+            l *= rescale;
+            m = sc;
+          }
+          const float wgt = std::exp(sc - m);
+          l += wgt;
+          const float* vv = v.data() + koff(b, tk, hkv);
+          for (std::int64_t i = 0; i < D; ++i) {
+            acc[static_cast<std::size_t>(i)] =
+                std::fmaf(wgt, vv[i], acc[static_cast<std::size_t>(i)]);
+          }
+        }
+        const auto inv = static_cast<float>(1.0 / l);
+        float* o = r.out.data() + qoff(b, tq, h);
+        for (std::int64_t i = 0; i < D; ++i) {
+          o[i] = acc[static_cast<std::size_t>(i)] * inv;
+        }
+        lse[static_cast<std::size_t>((b * H + h) * T + tq)] =
+            m + static_cast<float>(std::log(l));
+      }
+    }
+  }
+  for (std::int64_t b = 0; b < B; ++b) {
+    for (std::int64_t h = 0; h < H; ++h) {
+      const std::int64_t hkv = h / group;
+      for (std::int64_t tq = 0; tq < T; ++tq) {
+        const std::int64_t limit = causal ? tq + 1 : TK;
+        const float* qv = q.data() + qoff(b, tq, h);
+        const float* gv = dy.data() + qoff(b, tq, h);
+        const float* ov = r.out.data() + qoff(b, tq, h);
+        const float row_lse = lse[static_cast<std::size_t>((b * H + h) * T + tq)];
+        const float row_dot = ref_dot(gv, ov, D);
+        float* qgv = r.qg.data() + qoff(b, tq, h);
+        for (std::int64_t tk = 0; tk < limit; ++tk) {
+          const float* kv = k.data() + koff(b, tk, hkv);
+          const float* vv = v.data() + koff(b, tk, hkv);
+          const float p = std::exp(scl * ref_dot(qv, kv, D) - row_lse);
+          const float dp = ref_dot(gv, vv, D);
+          const float ds = p * (dp - row_dot);
+          float* kgv = r.kg.data() + koff(b, tk, hkv);
+          float* vgv = r.vg.data() + koff(b, tk, hkv);
+          for (std::int64_t i = 0; i < D; ++i) {
+            qgv[i] += scl * ds * kv[i];
+            kgv[i] += scl * ds * qv[i];
+            vgv[i] += p * gv[i];
+          }
+        }
+      }
+    }
+  }
+  return r;
+}
+
+// (T, Tk, H, Hkv, D, causal): T = 1, T past one and two key blocks of 16,
+// D below, at and off the 8-lane width, GQA groups of 2 and 3.
+class FlashIdentity
+    : public ::testing::TestWithParam<
+          std::tuple<int, int, int, int, int, bool>> {};
+
+TEST_P(FlashIdentity, ForwardAndBackwardMatchReferenceLoops) {
+  const auto [t, tk, h, hkv, d, causal] = GetParam();
+  Rng rng(static_cast<std::uint64_t>(t * 131 + d * 7 + h));
+  const Tensor q0 = Tensor::randn({2, t, h, d}, rng);
+  const Tensor k0 = Tensor::randn({2, tk, hkv, d}, rng);
+  const Tensor v0 = Tensor::randn({2, tk, hkv, d}, rng);
+  const Tensor w = Tensor::randn({2, t, h, d}, rng);
+  Tape tape;
+  Var q = tape.leaf(q0.clone(), true);
+  Var k = tape.leaf(k0.clone(), true);
+  Var v = tape.leaf(v0.clone(), true);
+  Var out = ops::attention(tape, q, k, v, causal, /*flash=*/true);
+  tape.backward(weighted_sum(tape, out, w));
+  const AttnRef ref = ref_flash(q0, k0, v0, w, causal);
+  EXPECT_TRUE(same_bytes(out.value(), ref.out)) << "forward";
+  EXPECT_TRUE(same_bytes(q.grad(), ref.qg)) << "dQ";
+  EXPECT_TRUE(same_bytes(k.grad(), ref.kg)) << "dK";
+  EXPECT_TRUE(same_bytes(v.grad(), ref.vg)) << "dV";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, FlashIdentity,
+    ::testing::Values(std::make_tuple(1, 1, 2, 2, 32, true),
+                      std::make_tuple(1, 9, 2, 1, 32, false),
+                      std::make_tuple(32, 32, 2, 2, 32, true),
+                      std::make_tuple(37, 37, 4, 2, 12, true),
+                      std::make_tuple(21, 21, 3, 1, 20, true),
+                      std::make_tuple(17, 40, 6, 2, 8, false),
+                      std::make_tuple(5, 5, 2, 2, 3, false)));
+
+TEST(SimdIdentity, SoftmaxRowMatchesReferenceLoop) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  Rng rng(25);
+  std::vector<std::vector<float>> rows;
+  // A zero maximum met as -0 first and as +0 later, and the reverse.
+  rows.push_back({-1.0f, -0.0f, -3.0f, 0.0f, -2.0f, -0.5f, -7.0f, -1.0f,
+                  -4.0f, 0.0f, -0.0f, -9.0f});
+  rows.push_back({-1.0f, 0.0f, -3.0f, -0.0f, -2.0f, -0.5f, -7.0f, -1.0f,
+                  -4.0f, -0.0f, 0.0f, -9.0f, -0.25f});
+  rows.push_back({nan, 1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f, 7.0f, 8.0f, 9.0f});
+  rows.push_back({1.0f, nan, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f, 7.0f, 8.0f, 9.0f});
+  rows.push_back({-inf, -inf, -inf, -inf, -inf, -inf, -inf, -inf, -inf});
+  rows.push_back({1.0f, inf, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f, 7.0f, 8.0f, -inf});
+  const Tensor r = edgy({513}, rng, 6.0f);
+  rows.emplace_back(r.data(), r.data() + r.numel());
+  for (std::size_t k = 0; k < rows.size(); ++k) {
+    std::vector<float> ref = rows[k];
+    const auto n = static_cast<std::int64_t>(ref.size());
+    float mx = ref[0];
+    for (std::int64_t i = 1; i < n; ++i) mx = std::max(mx, ref[static_cast<std::size_t>(i)]);
+    double denom = 0.0;
+    for (float& x : ref) {
+      x = std::exp(x - mx);
+      denom += x;
+    }
+    const auto inv = static_cast<float>(1.0 / denom);
+    for (float& x : ref) x *= inv;
+    std::vector<float> got = rows[k];
+    kernels::softmax_row(got.data(), n);
+    EXPECT_EQ(std::memcmp(got.data(), ref.data(), sizeof(float) * ref.size()), 0)
+        << "row " << k;
+    for (std::int64_t t = 0; t < n; ++t) {
+      const float p = kernels::softmax_prob(rows[k].data(), n, t);
+      EXPECT_EQ(std::memcmp(&p, &ref[static_cast<std::size_t>(t)], sizeof(float)), 0)
+          << "row " << k << " target " << t;
+    }
+  }
+}
+
+TEST(SimdIdentity, NoGradCrossEntropyMatchesTheGradPath) {
+  Rng rng(23);
+  const Tensor logits = edgy({6, 37}, rng, 4.0f);
+  const std::vector<std::int32_t> targets{0, 36, -1, 5, 12, 36};
+  Tape train;
+  const float with_grad =
+      ops::cross_entropy(train, train.leaf(logits.clone(), true), targets)
+          .item();
+  Tape eval;
+  NoGradGuard guard(eval);
+  const float without =
+      ops::cross_entropy(eval, eval.leaf(logits.clone(), true), targets)
+          .item();
+  EXPECT_EQ(std::memcmp(&with_grad, &without, sizeof(float)), 0);
+}
+
+TEST(Tensor, UninitializedIsNaNPoisonedInDebugBuilds) {
+#ifdef NDEBUG
+  GTEST_SKIP() << "poisoning is compiled into !NDEBUG builds only";
+#else
+  const Tensor t = Tensor::uninitialized({3, 5});
+  for (std::int64_t i = 0; i < t.numel(); ++i) EXPECT_TRUE(std::isnan(t[i]));
+#endif
 }
 
 }  // namespace

@@ -4,7 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <tuple>
 
+#include "common/rng.h"
 #include "optim/optimizer.h"
 #include "tensor/ops.h"
 
@@ -230,6 +234,181 @@ TEST(Optimizer, StateBytesMatchTheMemoryModelAssumptions) {
 TEST(Optimizer, RequiresParams) {
   std::vector<nn::NamedParam> empty;
   EXPECT_THROW(optim::Sgd{empty}, Error);
+}
+
+// ---- byte identity of the fused Adam/LAMB pass --------------------------------
+//
+// Adam and LAMB run one SIMD pass that also applies clip_grad_norm's scale.
+// It must leave exactly the bytes of the scalar loops it replaced (copied
+// below): weights, the clipped gradients, LAMB's trust ratios.
+
+bool same_bytes(const void* a, const void* b, std::size_t bytes) {
+  return std::memcmp(a, b, bytes) == 0;
+}
+
+/// The reference clip_grad_norm over plain vectors: per-tensor sequential
+/// norms, their squares summed, one float scale multiplied in place.
+void ref_clip(std::vector<std::vector<float>>& grads, double max_norm) {
+  double sq = 0.0;
+  for (const auto& g : grads) {
+    double acc = 0.0;
+    for (float v : g) acc += static_cast<double>(v) * v;
+    const double n = std::sqrt(acc);
+    sq += n * n;
+  }
+  const double total = std::sqrt(sq);
+  if (total > max_norm) {
+    const auto scale = static_cast<float>(max_norm / (total + 1e-12));
+    for (auto& g : grads) {
+      for (float& v : g) v *= scale;
+    }
+  }
+}
+
+struct RefState {
+  std::vector<float> w, m, v;
+};
+
+/// The reference Adam::step loop for one tensor.
+void ref_adam(RefState& st, const std::vector<float>& g, double lr,
+              const optim::AdamConfig& c, std::int64_t t) {
+  const double bc1 = 1.0 - std::pow(c.beta1, static_cast<double>(t));
+  const double bc2 = 1.0 - std::pow(c.beta2, static_cast<double>(t));
+  const auto b1 = static_cast<float>(c.beta1);
+  const auto b2 = static_cast<float>(c.beta2);
+  for (std::size_t j = 0; j < st.w.size(); ++j) {
+    st.m[j] = b1 * st.m[j] + (1.0f - b1) * g[j];
+    st.v[j] = b2 * st.v[j] + (1.0f - b2) * g[j] * g[j];
+    const double mhat = st.m[j] / bc1;
+    const double vhat = st.v[j] / bc2;
+    double update = mhat / (std::sqrt(vhat) + c.eps);
+    if (c.weight_decay != 0.0) update += c.weight_decay * st.w[j];
+    st.w[j] -= static_cast<float>(lr * update);
+  }
+}
+
+/// The reference Lamb::step loop for one tensor; returns the trust ratio.
+double ref_lamb(RefState& st, const std::vector<float>& g, double lr,
+                const optim::LambConfig& c, std::int64_t t) {
+  const double bc1 = 1.0 - std::pow(c.beta1, static_cast<double>(t));
+  const double bc2 = 1.0 - std::pow(c.beta2, static_cast<double>(t));
+  const auto b1 = static_cast<float>(c.beta1);
+  const auto b2 = static_cast<float>(c.beta2);
+  std::vector<float> uw(st.w.size());
+  double w_sq = 0.0;
+  double u_sq = 0.0;
+  for (std::size_t j = 0; j < st.w.size(); ++j) {
+    st.m[j] = b1 * st.m[j] + (1.0f - b1) * g[j];
+    st.v[j] = b2 * st.v[j] + (1.0f - b2) * g[j] * g[j];
+    const double mhat = st.m[j] / bc1;
+    const double vhat = st.v[j] / bc2;
+    double u = mhat / (std::sqrt(vhat) + c.eps);
+    u += c.weight_decay * st.w[j];
+    uw[j] = static_cast<float>(u);
+    w_sq += static_cast<double>(st.w[j]) * st.w[j];
+    u_sq += u * u;
+  }
+  double trust = 1.0;
+  if (c.use_trust_ratio) {
+    const double w_norm = std::sqrt(w_sq);
+    const double u_norm = std::sqrt(u_sq);
+    if (w_norm > 0.0 && u_norm > 0.0) {
+      trust = std::min(w_norm / u_norm, c.max_trust_ratio);
+    }
+  }
+  const float scale = -static_cast<float>(lr * trust);
+  for (std::size_t j = 0; j < st.w.size(); ++j) st.w[j] += scale * uw[j];
+  return trust;
+}
+
+// (LAMB?, weight decay, clip max_norm): the clip is active at 0.5 and
+// inactive at 1e9. Parameter sizes are mostly not multiples of 8.
+class OptimizerIdentity
+    : public ::testing::TestWithParam<std::tuple<bool, double, double>> {};
+
+TEST_P(OptimizerIdentity, FusedStepMatchesReferenceLoops) {
+  const auto [lamb, wd, max_norm] = GetParam();
+  Rng rng(31);
+  const std::vector<std::int64_t> sizes{1, 7, 13, 64, 203};
+  std::vector<nn::NamedParam> params;
+  std::vector<RefState> ref;
+  for (std::size_t i = 0; i < sizes.size(); ++i) {
+    const Tensor w = Tensor::randn({sizes[i]}, rng);
+    params.push_back({"p" + std::to_string(i), make_var(w.clone(), true)});
+    ref.push_back({std::vector<float>(w.data(), w.data() + w.numel()),
+                   std::vector<float>(w.numel(), 0.0f),
+                   std::vector<float>(w.numel(), 0.0f)});
+  }
+  optim::AdamConfig ac;
+  ac.weight_decay = wd;
+  optim::LambConfig lc;
+  lc.weight_decay = wd;
+  std::unique_ptr<optim::Optimizer> opt;
+  if (lamb) {
+    opt = std::make_unique<optim::Lamb>(params, lc);
+  } else {
+    opt = std::make_unique<optim::Adam>(params, ac);
+  }
+  for (std::int64_t t = 1; t <= 4; ++t) {
+    std::vector<std::vector<float>> grads;
+    for (auto& p : params) {
+      const Tensor g = Tensor::randn(p.var.value().shape(), rng, 0.0f, 2.0f);
+      p.var.node()->zero_grad();
+      p.var.node()->accumulate(g);
+      grads.emplace_back(g.data(), g.data() + g.numel());
+    }
+    const double lr = 1e-2 * static_cast<double>(t);
+    // A second clip in one step composes with the first (step 2).
+    for (int clips = t == 2 ? 2 : 1; clips > 0; --clips) {
+      opt->clip_grad_norm(max_norm);
+      ref_clip(grads, max_norm);
+    }
+    opt->step(lr);
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      double trust = 0.0;
+      if (lamb) {
+        trust = ref_lamb(ref[i], grads[i], lr, lc, t);
+      } else {
+        ref_adam(ref[i], grads[i], lr, ac, t);
+      }
+      const Var& p = params[i].var;
+      const std::size_t bytes = sizeof(float) * ref[i].w.size();
+      EXPECT_TRUE(same_bytes(p.value().data(), ref[i].w.data(), bytes))
+          << "weights, param " << i << " step " << t;
+      EXPECT_TRUE(same_bytes(p.grad().data(), grads[i].data(), bytes))
+          << "clipped grads, param " << i << " step " << t;
+      if (lamb) {
+        const double got =
+            static_cast<const optim::Lamb&>(*opt).last_trust_ratios()[i];
+        EXPECT_TRUE(same_bytes(&got, &trust, sizeof(double)))
+            << "trust ratio, param " << i << " step " << t;
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Cases, OptimizerIdentity,
+    ::testing::Combine(::testing::Bool(), ::testing::Values(0.0, 0.1),
+                       ::testing::Values(0.5, 1e9)));
+
+TEST(Clipping, DeferredScaleSkipsGradientsReplacedBeforeStep) {
+  // Clip, then drop and recompute the gradient the way a new backward
+  // would: the step must see the new gradient unscaled.
+  Quadratic a({3.0f, 4.0f}, {0.0f, 0.0f});
+  Quadratic b({3.0f, 4.0f}, {0.0f, 0.0f});
+  optim::Adam clipped(a.params());
+  optim::Adam plain(b.params());
+  a.loss_and_grad();
+  clipped.clip_grad_norm(1.0);
+  a.loss_and_grad();
+  clipped.step(0.1);
+  b.loss_and_grad();
+  plain.step(0.1);
+  EXPECT_TRUE(same_bytes(a.w.value().data(), b.w.value().data(),
+                         2 * sizeof(float)));
+  EXPECT_TRUE(same_bytes(a.w.grad().data(), b.w.grad().data(),
+                         2 * sizeof(float)));
 }
 
 }  // namespace

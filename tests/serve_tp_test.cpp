@@ -16,9 +16,11 @@
 #include "common/error.h"
 #include "nn/gpt.h"
 #include "nn/paged_kv.h"
+#include "parallel/thread_pool.h"
 #include "serve/engine.h"
 #include "serve/spec/proposer.h"
 #include "serve/tp/tp_model.h"
+#include "serve/tp/tp_predict.h"
 #include "serve/trace.h"
 
 namespace matgpt {
@@ -139,6 +141,13 @@ TEST(TpSlices, ShardUnshardRoundTrip) {
                               sizeof(float)),
               0);
   }
+}
+
+// The cost model's core count is the CPUs this process may run on, so a
+// pinned run prices ranks as sharing one core.
+TEST(TpPredict, CalibratedCoresFollowTheAffinityMask) {
+  EXPECT_EQ(serve::tp::calibrate_host(1).cores,
+            static_cast<int>(available_cpus()));
 }
 
 // ---------------------------------------------------------------------------
